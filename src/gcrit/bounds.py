@@ -20,11 +20,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import (AccuracyError, DegeneratePotentialError, DomainError,
-                     InvariantViolation, SearchRangeError)
+                     IntegrationError, InvariantViolation, SearchRangeError)
 from .exact import critical_coupling_nystrom, critical_coupling_shooting
 from .optimize import minimize_scalar_log
 from .potentials import AngularMomentum, Potential
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, integrate,
+from .quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig, integrate,
                          integrate_semi_infinite, nested_double, nested_triple)
 
 
@@ -238,45 +238,49 @@ def upper_calogero_I(pot: Potential, ell: int,
     return upper_calogero_I_at(pot, ell, best.x, cfg)
 
 
+def _calogero_II_factors(pot: Potential, ell: int, a: float, r):
+    """v(r) and t = (r/a)^(2l), the g-independent parts of the integrand."""
+    v = pot.evaluate(r)
+    with np.errstate(over="ignore"):
+        t = (r / a) ** (2 * ell)
+    return v, t
+
+
+def _calogero_II_terms(v, t, a: float, g: float):
+    """Integrand g v t / (t^2 + a^2 g v) of the nonlinear condition.
+
+    Finite for every r > 0, including shapes unbounded at the origin.
+    """
+    with np.errstate(over="ignore"):
+        den = t * t + a * a * g * v
+        return np.where(den > 0, g * v * t / den, 0.0)
+
+
+def _calogero_II_integrand(pot: Potential, ell: int, a: float, g: float):
+    def integrand(r):
+        return _calogero_II_terms(*_calogero_II_factors(pot, ell, a, r), a, g)
+
+    return integrand
+
+
 def _calogero_II_lhs(pot: Potential, ell: int, a: float, g: float,
                      cfg: QuadratureConfig) -> float:
-    """Left side of the nonlinear sufficient condition at (a, g).
-
-    Written as g v t / (t^2 + a^2 g v) with t = (r/a)^(2l), which is finite
-    for every r > 0 including shapes unbounded at the origin.
-    """
-    def integrand(r):
-        v = pot.evaluate(r)
-        with np.errstate(over="ignore"):
-            t = (r / a) ** (2 * ell)
-            den = t * t + a * a * g * v
-            out = np.where(den > 0, g * v * t / den, 0.0)
-        return out
-
-    return a * _shape_integral(pot, integrand, cfg)
+    """Left side of the nonlinear sufficient condition at (a, g)."""
+    return a * _shape_integral(pot, _calogero_II_integrand(pot, ell, a, g), cfg)
 
 
 G_SEARCH_RANGE = (1e-6, 1e6)
 
 
-def upper_calogero_II_at(pot: Potential, ell: int, a: float,
-                         g_trial: float = 1.0,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
-    """Threshold strength of the nonlinear sufficient condition at fixed a.
+def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
+    """Smallest g with excess(g) >= 0 for an excess increasing in g.
 
-    The strength enters the condition nonlinearly but the left side grows
-    monotonically with g, so the smallest g with LHS = 1 is found by
-    expanding a bracket around g_trial and bisecting it.
+    Expands a bracket by factors of 4 from g_start, which lies in
+    G_SEARCH_RANGE, then bisects it to 1e-12 relative; returns (lo, hi)
+    with excess(lo) < 0 <= excess(hi) as far as the samples tell.
     """
-    ell = AngularMomentum(ell).ell
-    if not a > 0:
-        raise DomainError("matching radius a must be positive")
-
-    def excess(g):
-        return _calogero_II_lhs(pot, ell, a, g, cfg) - 1.0
-
     g_lo, g_hi = G_SEARCH_RANGE
-    lo = hi = min(max(g_trial, g_lo), g_hi)
+    lo = hi = g_start
     f = excess(lo)
     if f < 0:
         while f < 0:
@@ -302,6 +306,71 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
             lo = mid
         if hi - lo <= 1e-12 * hi:
             break
+    return lo, hi
+
+
+class _RuleRejected(Exception):
+    """The frozen Calogero II rule failed a check against adaptive quadrature."""
+
+
+def upper_calogero_II_at(pot: Potential, ell: int, a: float,
+                         g_trial: float = 1.0,
+                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
+    """Threshold strength of the nonlinear sufficient condition at fixed a.
+
+    The strength enters the condition nonlinearly but the left side grows
+    monotonically with g, so the smallest g with LHS = 1 is found by
+    expanding a bracket around g_trial and bisecting it.
+
+    The search runs on a frozen rule: the nodes and weights of the adaptive
+    pass at g_trial, with v and (r/a)^(2l) cached there, so every further
+    trial g costs one vectorized sum.  Adaptive quadrature then confirms the
+    outcome: excess(lo) < 0 <= excess(hi) for the final bracket, or the sign
+    at the last sample before a SearchRangeError.  When a check fails or
+    the rule turns non-finite, the search reruns on adaptive quadrature.
+    """
+    ell = AngularMomentum(ell).ell
+    if not a > 0:
+        raise DomainError("matching radius a must be positive")
+    g_lo, g_hi = G_SEARCH_RANGE
+    g0 = min(max(g_trial, g_lo), g_hi)
+    rule = FixedRule(_calogero_II_integrand(pot, ell, a, g0), _rel_cfg(cfg),
+                     **_nested_kwargs(pot))
+    # the rule's own pass is the adaptive value at g0, so both searches
+    # reuse it there
+    f0 = a * rule.total - 1.0
+
+    def excess(g):
+        if g == g0:
+            return f0
+        return _calogero_II_lhs(pot, ell, a, g, cfg) - 1.0
+
+    v, t = _calogero_II_factors(pot, ell, a, rule.nodes)
+    g_last, f_last = g0, f0
+
+    def frozen_excess(g):
+        nonlocal g_last, f_last
+        if g == g0:
+            return f0
+        f = a * rule.integral(_calogero_II_terms(v, t, a, g)) - 1.0
+        if not math.isfinite(f):
+            raise _RuleRejected
+        g_last, f_last = g, f
+        return f
+
+    try:
+        try:
+            lo, hi = _bracket_threshold(frozen_excess, g0)
+        except SearchRangeError:
+            if (excess(g_last) >= 0) == (f_last >= 0):
+                raise
+            raise _RuleRejected from None
+        if not excess(lo) < 0 <= excess(hi):
+            raise _RuleRejected
+    except (_RuleRejected, AccuracyError, IntegrationError):
+        # a check that fails or cannot be evaluated proves nothing; the
+        # adaptive search decides, and raises whatever it meets
+        lo, hi = _bracket_threshold(excess, g0)
     return BoundResult(Method.CALOGERO_II, Side.UPPER, hi, ell, optimal_param=a)
 
 

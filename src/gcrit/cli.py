@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from . import bounds, exact
 from .bounds import Method, sandwich
 from .errors import (AccuracyError, ConfigurationError, DegeneratePotentialError,
-                     DomainError, InvariantViolation, NoBoundStateError,
-                     SearchRangeError, TruncationError)
+                     DomainError, IntegrationError, InvariantViolation,
+                     NoBoundStateError, SearchRangeError, TruncationError)
 from .potentials import Kind, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .tables import reproduce_table
@@ -465,8 +465,8 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError, DegeneratePotentialError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AccuracyError, NoBoundStateError, SearchRangeError,
-            TruncationError) as exc:
+    except (AccuracyError, IntegrationError, NoBoundStateError,
+            SearchRangeError, TruncationError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except InvariantViolation as exc:

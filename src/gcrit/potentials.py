@@ -98,6 +98,11 @@ class Potential:
                 raise ConfigurationError("grid radii must be positive and strictly increasing")
             if np.any(values < 0):
                 raise ConfigurationError("grid values must be nonnegative")
+            # kept for _shape; plain attributes, so eq and hash see only grid
+            radii.flags.writeable = False
+            values.flags.writeable = False
+            object.__setattr__(self, "_radii", radii)
+            object.__setattr__(self, "_values", values)
         elif self.grid is not None:
             raise ConfigurationError("grid is only meaningful for tabulated")
 
@@ -186,9 +191,8 @@ class Potential:
             w = self.shell_width
             inside = (r >= self.R) & (r <= self.R + w)
             return np.where(inside, 1.0 / (w * self.R), 0.0)
-        radii = np.array([p[0] for p in self.grid])
-        values = np.array([p[1] for p in self.grid])
-        return np.interp(r, radii, values, left=values[0], right=0.0)
+        return np.interp(r, self._radii, self._values, left=self._values[0],
+                         right=0.0)
 
     def evaluate(self, r):
         """v(r) for a positive radius or an array of positive radii."""

@@ -9,7 +9,10 @@ exponential decay well.
 
 Nested double and triple integrals evaluate the inner antiderivative from
 a cached panel partition (prefix sums plus one non-adaptive partial panel),
-which avoids re-integrating the inner weight at every outer node.
+which avoids re-integrating the inner weight at every outer node.  The
+same partition can be kept whole as a fixed rule (`FixedRule`), which
+re-integrates a family of nearby integrands, such as one that depends on a
+parameter, as a dot product over cached nodes.
 """
 
 from __future__ import annotations
@@ -250,6 +253,42 @@ class CumulativeIntegral:
             fv = np.asarray(self._w(nodes.ravel()), dtype=float).reshape(nodes.shape)
             out[live] += halves * (fv @ _WK)
         return float(out[0]) if scalar else out
+
+
+class FixedRule:
+    """The final panel partition of one adaptive pass, kept as a fixed rule.
+
+    Integrates w adaptively over (0, upper), or over (0, inf) through the
+    semi-infinite map when upper is None, exactly as `integrate` and
+    `integrate_semi_infinite` do; `total` is the value of that pass.
+    `nodes` (in the original variable) and `weights` (panel half-widths
+    times Kronrod weights, times the Jacobian of the map on a semi-infinite
+    axis) then integrate any integrand close enough to w as
+    `integral(values at nodes)`, without refinement and without calling w.
+    """
+
+    def __init__(self, w, cfg=DEFAULT_CONFIG, upper=None, points=()):
+        lo, hi, wrap, mapper = _axis(upper)
+        panels, self.total, _, _ = _adaptive(wrap(w), lo, hi, cfg, mapper(points))
+        lefts = np.array([p[0] for p in panels])
+        rights = np.array([p[1] for p in panels])
+        # the abscissae _panel evaluated on each final panel
+        halves = 0.5 * (rights - lefts)
+        centers = 0.5 * (lefts + rights)
+        x = (centers[:, None] + halves[:, None] * _NODES[None, :]).ravel()
+        weights = (halves[:, None] * _WK[None, :]).ravel()
+        if upper is None:
+            om = 1.0 - x
+            x = x / om
+            weights = weights / (om * om)
+        x.flags.writeable = False
+        weights.flags.writeable = False
+        self.nodes = x
+        self.weights = weights
+
+    def integral(self, values) -> float:
+        """Integral of the integrand whose values at `nodes` are `values`."""
+        return float(np.dot(values, self.weights))
 
 
 def _axis(upper):

@@ -1,18 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcrit.bounds import (Method, Side, lower_bargmann_schwinger, lower_ggmt,
+from gcrit import bounds as bounds_module
+from gcrit.bounds import (G_SEARCH_RANGE, Method, Side, _calogero_II_lhs,
+                          lower_bargmann_schwinger, lower_ggmt,
                           lower_ggmt_at, lower_second_order, lower_third_order,
                           sandwich, sufficient_condition_holds,
                           upper_calogero_I, upper_calogero_I_at,
                           upper_calogero_II, upper_calogero_II_at,
                           upper_variational, upper_variational_at,
                           upper_variational_square_well)
-from gcrit.errors import DomainError
+from gcrit.errors import DomainError, SearchRangeError
 from gcrit.potentials import Potential
+from gcrit.quadrature import DEFAULT_CONFIG, FixedRule
 
 SW = Potential.square_well()
 EXP = Potential.exponential()
@@ -205,3 +209,128 @@ def test_scale_invariance_smoke():
                             rel_tol=1e-10)
         assert math.isclose(upper_variational(scaled, 0).value,
                             upper_variational(YUK, 0).value, rel_tol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Calogero II: frozen-rule search against the adaptive reference
+# ---------------------------------------------------------------------------
+
+def _bump_grid(n_knots, seed):
+    """A smooth compact bump mixture (the acceptance criterion 7 generator)."""
+    rng = np.random.default_rng(seed)
+    r_max = float(rng.uniform(2.0, 4.0))
+    r = np.linspace(0.02, r_max, n_knots)
+    v = np.zeros_like(r)
+    for _ in range(int(rng.integers(1, 3))):
+        center = rng.uniform(0.2, 0.8) * r_max
+        width = rng.uniform(0.2, 0.5) * r_max
+        v += rng.uniform(0.5, 2.0) * np.exp(-((r - center) / width) ** 2)
+    v[-1] = 0.0
+    return Potential.tabulated(list(zip(r.tolist(), v.tolist())))
+
+
+def reference_calogero_II(pot, ell, a, g_trial, cfg=DEFAULT_CONFIG):
+    """Threshold by adaptive quadrature at every trial g: the search as it
+    was before the frozen rule, kept as the slow path the rule must match."""
+    def excess(g):
+        return _calogero_II_lhs(pot, ell, a, g, cfg) - 1.0
+
+    g_lo, g_hi = G_SEARCH_RANGE
+    lo = hi = min(max(g_trial, g_lo), g_hi)
+    f = excess(lo)
+    if f < 0:
+        while f < 0:
+            lo = hi
+            hi *= 4.0
+            if hi > g_hi:
+                raise SearchRangeError(
+                    f"sufficient condition never reached 1 below g = {g_hi:g}")
+            f = excess(hi)
+    else:
+        while excess(lo) >= 0:
+            hi = lo
+            lo /= 4.0
+            if lo < g_lo:
+                raise SearchRangeError(
+                    f"sufficient condition already holds at g = {g_lo:g}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return hi
+
+
+# shape, and its optimal matching radius for l = 0 and l = 3
+CALOGERO_II_SHAPES = {
+    "square_well": (SW, {0: 0.5, 3: 0.603}),
+    "exponential": (EXP, {0: 1.594, 3: 1.391}),
+    "yukawa": (YUK, {0: 0.641, 3: 0.693}),
+    "shell": (Potential.shell(0.1), {0: 0.05, 3: 0.678}),
+    "tabulated16": (_bump_grid(16, 16), {0: 1.264, 3: 1.132}),
+    "tabulated64": (_bump_grid(64, 64), {0: 1.608, 3: 1.408}),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SearchRangeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("shape", sorted(CALOGERO_II_SHAPES))
+@pytest.mark.parametrize("ell", [0, 3])
+@pytest.mark.parametrize("a_factor", [0.25, 1.0, 1.6, 4.0])
+def test_calogero_II_frozen_rule_matches_adaptive(shape, ell, a_factor):
+    pot, a_opt = CALOGERO_II_SHAPES[shape]
+    a = a_factor * a_opt[ell]
+    start = _outcome(lambda: upper_calogero_II_at(pot, ell, a).value)
+    if isinstance(start, str):
+        # no threshold in range: the same error as the adaptive search
+        assert start == _outcome(lambda: reference_calogero_II(pot, ell, a, 1.0))
+        return
+    for g_trial in (start / 32.0, 32.0 * start):
+        got = upper_calogero_II_at(pot, ell, a, g_trial).value
+        want = reference_calogero_II(pot, ell, a, g_trial)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (g_trial, got, want)
+
+
+@pytest.mark.parametrize("shape", ["square_well", "shell", "tabulated16",
+                                   "tabulated64", "exponential"])
+@pytest.mark.parametrize("ell", [0, 3])
+def test_calogero_II_beyond_support_raises_like_adaptive(shape, ell):
+    pot, _ = CALOGERO_II_SHAPES[shape]
+    a = 50.0 * (pot.cutoff if pot.is_compact else 2.0)
+    with pytest.raises(SearchRangeError) as got:
+        upper_calogero_II_at(pot, ell, a)
+    with pytest.raises(SearchRangeError) as want:
+        reference_calogero_II(pot, ell, a, 1.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_calogero_II_verification_catches_a_biased_rule(monkeypatch):
+    pot, a_opt = CALOGERO_II_SHAPES["tabulated64"]
+    a = a_opt[3]
+    searches = []
+    bracket = bounds_module._bracket_threshold
+
+    def counted(excess, g_start):
+        searches.append(g_start)
+        return bracket(excess, g_start)
+
+    monkeypatch.setattr(bounds_module, "_bracket_threshold", counted)
+    want = reference_calogero_II(pot, 3, a, 1.0)
+    assert math.isclose(upper_calogero_II_at(pot, 3, a).value, want,
+                        rel_tol=1e-12, abs_tol=0.0)
+    assert len(searches) == 1  # the frozen rule passed its checks
+
+    integral = FixedRule.integral
+    monkeypatch.setattr(FixedRule, "integral",
+                        lambda self, values: integral(self, values) * (1.0 + 1e-6))
+    searches.clear()
+    assert upper_calogero_II_at(pot, 3, a).value == want
+    assert len(searches) == 2  # rejected, then the adaptive search

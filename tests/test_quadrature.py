@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcrit.errors import AccuracyError, ConfigurationError, DomainError
-from gcrit.quadrature import (QuadratureConfig, integrate,
+from gcrit.quadrature import (FixedRule, QuadratureConfig, integrate,
                               integrate_semi_infinite, nested_double,
                               nested_triple)
 
@@ -149,3 +149,28 @@ def test_breakpoint_seeding_matches_plain():
     exact = 0.377 * 1.3 + (1.0 - 0.377) * 0.2
     assert close(seeded, exact, rel=1e-12)
     assert close(plain, exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("upper", [3.0, None])
+def test_fixed_rule_reuses_the_adaptive_partition(upper):
+    def family(c):
+        return lambda x: np.exp(-c * x) * np.sqrt(x) / (1.0 + x)
+
+    points = (0.5, 2.0)
+    rule = FixedRule(family(1.0), CFG, upper=upper, points=points)
+    if upper is None:
+        want = integrate_semi_infinite(family(1.0), 0.0, CFG, points=points)
+    else:
+        want = integrate(family(1.0), 0.0, upper, CFG, points=points)
+    assert rule.total == want.value  # the very same adaptive pass
+    assert np.all(rule.nodes > 0.0)
+    if upper is not None:
+        assert np.all(rule.nodes < upper)
+    # the cached nodes integrate the same integrand and its neighbours
+    assert close(rule.integral(family(1.0)(rule.nodes)), want.value, rel=1e-14)
+    for c in (0.8, 1.25):
+        if upper is None:
+            ref = integrate_semi_infinite(family(c), 0.0, CFG, points=points)
+        else:
+            ref = integrate(family(c), 0.0, upper, CFG, points=points)
+        assert close(rule.integral(family(c)(rule.nodes)), ref.value, rel=1e-9)

@@ -198,6 +198,19 @@ def test_cli_nonconvergence_exit_code(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["compute", "check"])
+def test_cli_overflowing_grid_is_a_numerical_error(tmp_path, capsys, verb):
+    # the integrand overflows on this grid and quadrature raises
+    # IntegrationError, which must map to exit 3 like any non-convergence
+    grid = tmp_path / "huge.csv"
+    grid.write_text("radius,value\n0.1,1e308\n0.5,1e308\n1.0,0\n")
+    assert main([verb, "--potential", "tabulated", "--grid-csv", str(grid),
+                 "--ell", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error:" in err
+    assert "Traceback" not in err
+
+
 def test_build_potential_dispatch():
     assert build_potential("yukawa", R=2.0).R == 2.0
     assert build_potential("stis", alpha=3.0).alpha == 3.0
