@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (AccuracyError, DegeneratePotentialError, DomainError,
                      IntegrationError, InvariantViolation, SearchRangeError)
 from .exact import critical_coupling_nystrom, critical_coupling_shooting
 from .optimize import minimize_scalar_log
-from .potentials import AngularMomentum, Potential
+from .potentials import AngularMomentum, Kind, Potential
 from .quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig, integrate,
                          integrate_semi_infinite, nested_double, nested_triple)
 
@@ -37,17 +38,14 @@ class Method(str, Enum):
     CALOGERO_II = "calogero_ii"
     VARIATIONAL = "variational"
     VARIATIONAL_CLOSED_FORM = "variational_closed_form"
+    SHOOTING = "shooting"
+    NYSTROM = "nystrom"
 
 
 class Side(str, Enum):
     LOWER = "lower"
     UPPER = "upper"
-
-
-LOWER_METHODS = (Method.BARGMANN_SCHWINGER, Method.SECOND_ORDER,
-                 Method.THIRD_ORDER, Method.GGMT)
-UPPER_METHODS = (Method.CALOGERO_I, Method.CALOGERO_II, Method.VARIATIONAL,
-                 Method.VARIATIONAL_CLOSED_FORM)
+    EXACT = "exact"   # a solver's value of the critical coupling itself
 
 
 @dataclass(frozen=True)
@@ -78,30 +76,45 @@ def _rel_cfg(cfg: QuadratureConfig) -> QuadratureConfig:
     return replace(cfg, abs_tol=_ABS_FLOOR)
 
 
-def _shape_integral(pot: Potential, f, cfg: QuadratureConfig,
-                    upper: float | None = None) -> float:
-    """Integrate f over the shape's support (or to infinity for tails)."""
-    cfg = _rel_cfg(cfg)
-    points = pot.breakpoints()
-    if pot.is_compact:
-        hi = pot.cutoff if upper is None else min(upper, pot.cutoff)
-        return integrate(f, 0.0, hi, cfg, points=points).value
-    if upper is not None:
-        return integrate(f, 0.0, upper, cfg, points=points).value
-    return integrate_semi_infinite(f, 0.0, cfg, points=points).value
-
-
 def _nested_kwargs(pot: Potential) -> dict:
-    return {
-        "upper": pot.cutoff if pot.is_compact else None,
-        "points": pot.breakpoints(),
-    }
+    return {"upper": pot.cutoff, "points": pot.breakpoints()}
 
 
 def _positive(value: float, what: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise DegeneratePotentialError(f"{what} evaluated to {value!r}")
     return value
+
+
+_SEARCH_PANELS = 600  # panel budget of each trial during a parameter search
+
+
+def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
+                    rel_tol: float, rejects: tuple[type[Exception], ...],
+                    hard_edges: bool = False, floor=None) -> BoundResult:
+    """The strongest bound at(x, cfg) over x in [lo, hi]: the largest lower
+    limit or the smallest upper one.
+
+    The search runs on a log axis with every trial at a loosened copy of
+    cfg (rel_tol, at most _SEARCH_PANELS panels).  A trial that raises one
+    of `rejects`, or whose value is not above floor(search config), scores
+    as infinitely bad.  The bound is then recomputed at the optimum with
+    cfg itself.
+    """
+    search_cfg = cfg.loosened(rel_tol=rel_tol, max_subdivisions=_SEARCH_PANELS)
+    low = 0.0 if floor is None else floor(search_cfg)
+
+    def objective(x):
+        try:
+            res = at(x, search_cfg)
+        except rejects:
+            return math.inf
+        if not res.value > low:
+            return math.inf
+        return -res.value if res.side is Side.LOWER else res.value
+
+    best = minimize_scalar_log(objective, lo, hi, hard_edges=hard_edges)
+    return at(best.x, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +125,7 @@ def lower_bargmann_schwinger(pot: Potential, ell: int,
                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """First-moment necessary condition: g >= (2l+1) / integral of r v(r)."""
     ell = AngularMomentum(ell).ell
-    moment = _positive(_shape_integral(pot, lambda r: r * pot.evaluate(r), cfg),
+    moment = _positive(pot.support_integral(lambda r: r * pot.evaluate(r), _rel_cfg(cfg)),
                        "first moment of the shape")
     return BoundResult(Method.BARGMANN_SCHWINGER, Side.LOWER,
                        (2 * ell + 1) / moment, ell)
@@ -167,7 +180,7 @@ def lower_ggmt_at(pot: Potential, ell: int, p: float,
     def integrand(r):
         return (r * r * pot.evaluate(r)) ** p / r
 
-    moment = _positive(_shape_integral(pot, integrand, cfg),
+    moment = _positive(pot.support_integral(integrand, _rel_cfg(cfg)),
                        f"power moment at p={p}")
     value = math.exp(-(_ggmt_log_constant(p, ell) + math.log(moment)) / p)
     return BoundResult(Method.GGMT, Side.LOWER, value, ell, optimal_param=p)
@@ -177,16 +190,9 @@ def lower_ggmt(pot: Potential, ell: int,
                cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Strongest member of the power family over p in [1, GGMT_P_MAX]."""
     ell = AngularMomentum(ell).ell
-    search_cfg = cfg.loosened(rel_tol=1e-9, max_subdivisions=600)
-
-    def objective(p):
-        try:
-            return -lower_ggmt_at(pot, ell, p, search_cfg).value
-        except AccuracyError:
-            return math.inf
-
-    best = minimize_scalar_log(objective, 1.0, GGMT_P_MAX, hard_edges=True)
-    return lower_ggmt_at(pot, ell, best.x, cfg)
+    return _optimize_bound(lambda p, c: lower_ggmt_at(pot, ell, p, c), cfg,
+                           1.0, GGMT_P_MAX, 1e-9, (AccuracyError,),
+                           hard_edges=True)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +213,13 @@ def upper_calogero_I_at(pot: Potential, ell: int, a: float,
     def outer(r):
         return r * pot.evaluate(r) * (a / r) ** k
 
-    rcfg = _rel_cfg(cfg)
-    cut = pot.cutoff if pot.is_compact else None
-    total = 0.0
-    lo_hi = min(a, cut) if cut is not None else a
-    if lo_hi > 0:
-        total += integrate(inner, 0.0, lo_hi, rcfg, points=pot.breakpoints()).value
+    rcfg, cut, points = _rel_cfg(cfg), pot.cutoff, pot.breakpoints()
+    total = integrate(inner, 0.0, a if cut is None else min(a, cut), rcfg,
+                      points=points).value
     if cut is None:
-        total += integrate_semi_infinite(outer, a, rcfg, points=pot.breakpoints()).value
+        total += integrate_semi_infinite(outer, a, rcfg, points=points).value
     elif a < cut:
-        total += integrate(outer, a, cut, rcfg, points=pot.breakpoints()).value
+        total += integrate(outer, a, cut, rcfg, points=points).value
     total = _positive(total, "matching-radius functional")
     return BoundResult(Method.CALOGERO_I, Side.UPPER, k / total, ell,
                        optimal_param=a)
@@ -226,16 +229,8 @@ def upper_calogero_I(pot: Potential, ell: int,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Best matching radius for the first sufficient condition."""
     ell = AngularMomentum(ell).ell
-    search_cfg = cfg.loosened(rel_tol=1e-9, max_subdivisions=600)
-
-    def objective(a):
-        try:
-            return upper_calogero_I_at(pot, ell, a, search_cfg).value
-        except AccuracyError:
-            return math.inf
-
-    best = minimize_scalar_log(objective, 1e-2, 1e2)
-    return upper_calogero_I_at(pot, ell, best.x, cfg)
+    return _optimize_bound(lambda a, c: upper_calogero_I_at(pot, ell, a, c), cfg,
+                           1e-2, 1e2, 1e-9, (AccuracyError,))
 
 
 def _calogero_II_factors(pot: Potential, ell: int, a: float, r):
@@ -266,7 +261,7 @@ def _calogero_II_integrand(pot: Potential, ell: int, a: float, g: float):
 def _calogero_II_lhs(pot: Potential, ell: int, a: float, g: float,
                      cfg: QuadratureConfig) -> float:
     """Left side of the nonlinear sufficient condition at (a, g)."""
-    return a * _shape_integral(pot, _calogero_II_integrand(pot, ell, a, g), cfg)
+    return a * pot.support_integral(_calogero_II_integrand(pot, ell, a, g), _rel_cfg(cfg))
 
 
 G_SEARCH_RANGE = (1e-6, 1e6)
@@ -378,19 +373,17 @@ def upper_calogero_II(pot: Potential, ell: int,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Best matching radius for the nonlinear sufficient condition."""
     ell = AngularMomentum(ell).ell
-    search_cfg = cfg.loosened(rel_tol=1e-8, max_subdivisions=600)
-    warm = {"g": 1.0}
+    warm = 1.0
 
-    def objective(a):
-        try:
-            res = upper_calogero_II_at(pot, ell, a, warm["g"], search_cfg)
-        except (AccuracyError, SearchRangeError):
-            return math.inf
-        warm["g"] = res.value
-        return res.value
+    def at(a, c):
+        # each root search starts from the last threshold found
+        nonlocal warm
+        res = upper_calogero_II_at(pot, ell, a, warm, c)
+        warm = res.value
+        return res
 
-    best = minimize_scalar_log(objective, 1e-2, 1e2)
-    return upper_calogero_II_at(pot, ell, best.x, warm["g"], cfg)
+    return _optimize_bound(at, cfg, 1e-2, 1e2, 1e-8,
+                           (AccuracyError, SearchRangeError))
 
 
 def _trial_weight(pot: Potential, q: float):
@@ -424,8 +417,8 @@ def upper_variational_at(pot: Potential, ell: int, p: float,
     if not p > 0:
         raise DomainError("trial power p must be positive")
     L = ell + 0.5
-    norm = _positive(_shape_integral(pot, _trial_weight(pot, 2.0 * p - 1.0), cfg),
-                     "trial normalization")
+    norm = _positive(pot.support_integral(_trial_weight(pot, 2.0 * p - 1.0),
+                                          _rel_cfg(cfg)), "trial normalization")
     fp = _trial_weight(pot, p)
     kernel_form = nested_double(
         lambda x: fp(x) * x ** (-L),
@@ -440,21 +433,13 @@ def upper_variational(pot: Potential, ell: int,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Variational upper limit minimized over the trial power p."""
     ell = AngularMomentum(ell).ell
-    search_cfg = cfg.loosened(rel_tol=1e-9, max_subdivisions=600)
     # at extreme p both integrals underflow and their ratio is meaningless;
     # no genuine upper limit can undercut this lower limit, so anything
     # below it is rejected as corrupted
-    floor = 0.5 * lower_bargmann_schwinger(pot, ell, search_cfg).value
-
-    def objective(p):
-        try:
-            value = upper_variational_at(pot, ell, p, search_cfg).value
-        except (AccuracyError, DegeneratePotentialError):
-            return math.inf
-        return value if value > floor else math.inf
-
-    best = minimize_scalar_log(objective, 1e-2, 1e2)
-    return upper_variational_at(pot, ell, best.x, cfg)
+    return _optimize_bound(
+        lambda p, c: upper_variational_at(pot, ell, p, c), cfg, 1e-2, 1e2, 1e-9,
+        (AccuracyError, DegeneratePotentialError),
+        floor=lambda c: 0.5 * lower_bargmann_schwinger(pot, ell, c).value)
 
 
 def upper_variational_square_well(ell: int) -> BoundResult:
@@ -483,6 +468,63 @@ def sufficient_condition_holds(pot: Potential, ell: int, g: float, p: float,
         raise DomainError("strength g must be positive")
     threshold = upper_variational_at(pot, ell, p, cfg).value
     return g >= threshold
+
+
+# ---------------------------------------------------------------------------
+# method registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One method: its side, its `gcrit compute` column and how to run it.
+
+    `run(pot, ell, cfg, n_nystrom)` names a module-level function in its
+    body, so the function is looked up at each call: a replaced module
+    attribute (a tracer's wrapper, a test's spy) reaches every caller.
+    """
+
+    method: Method
+    side: Side
+    column: str | None   # wide `gcrit compute` column, if the method has one
+    run: Callable
+    kind: Kind | None = None   # the only shape kind it applies to, if any
+    rel_error: float | None = None   # stated relative error; None: 10 rel_tol
+
+    def compute(self, pot: Potential, ell: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                n_nystrom: int = 400) -> BoundResult:
+        out = self.run(pot, ell, cfg, n_nystrom)
+        if self.side is Side.EXACT:   # a solver returns the bare coupling
+            return BoundResult(self.method, self.side, out, ell)
+        return out
+
+
+#: every method in reporting order: `gcrit compute --methods all` runs the
+#: limits among them that apply to the shape, `sandwich` every general one
+METHODS = {spec.method: spec for spec in (
+    MethodSpec(Method.BARGMANN_SCHWINGER, Side.LOWER, "g_BS",
+               lambda pot, ell, cfg, n: lower_bargmann_schwinger(pot, ell, cfg)),
+    MethodSpec(Method.SECOND_ORDER, Side.LOWER, "g_eq2",
+               lambda pot, ell, cfg, n: lower_second_order(pot, ell, cfg)),
+    MethodSpec(Method.THIRD_ORDER, Side.LOWER, "g_B",
+               lambda pot, ell, cfg, n: lower_third_order(pot, ell, cfg)),
+    MethodSpec(Method.GGMT, Side.LOWER, "g_GGMT",
+               lambda pot, ell, cfg, n: lower_ggmt(pot, ell, cfg)),
+    MethodSpec(Method.CALOGERO_I, Side.UPPER, "g_C1",
+               lambda pot, ell, cfg, n: upper_calogero_I(pot, ell, cfg)),
+    MethodSpec(Method.CALOGERO_II, Side.UPPER, "g_C2",
+               lambda pot, ell, cfg, n: upper_calogero_II(pot, ell, cfg)),
+    MethodSpec(Method.VARIATIONAL, Side.UPPER, "g_New",
+               lambda pot, ell, cfg, n: upper_variational(pot, ell, cfg)),
+    MethodSpec(Method.VARIATIONAL_CLOSED_FORM, Side.UPPER, None,
+               lambda pot, ell, cfg, n: upper_variational_square_well(ell),
+               kind=Kind.SQUARE_WELL, rel_error=0.0),
+    MethodSpec(Method.SHOOTING, Side.EXACT, "g_c_shoot",
+               lambda pot, ell, cfg, n: critical_coupling_shooting(pot, ell, cfg),
+               rel_error=1e-11),   # threshold root width + integrator error
+    MethodSpec(Method.NYSTROM, Side.EXACT, "g_c_nystrom",
+               lambda pot, ell, cfg, n: critical_coupling_nystrom(pot, ell, n, cfg),
+               rel_error=1e-5),    # discretization scale at the default n
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +583,17 @@ def sandwich(pot: Potential, ell: int,
     """
     ell = AngularMomentum(ell).ell
     t0 = time.perf_counter()
-    lowers = (
-        lower_bargmann_schwinger(pot, ell, cfg),
-        lower_second_order(pot, ell, cfg),
-        lower_third_order(pot, ell, cfg),
-        lower_ggmt(pot, ell, cfg),
-    )
-    uppers = (
-        upper_calogero_I(pot, ell, cfg),
-        upper_calogero_II(pot, ell, cfg),
-        upper_variational(pot, ell, cfg),
-    )
-    g_shoot = critical_coupling_shooting(pot, ell, cfg)
-    g_nys = critical_coupling_nystrom(pot, ell, n_nystrom, cfg)
-    report = SandwichReport(pot, ell, lowers, uppers, g_shoot, g_nys,
-                            time.perf_counter() - t0)
+    # every method that applies to any shape, in registry order
+    results = {method: spec.compute(pot, ell, cfg, n_nystrom)
+               for method, spec in METHODS.items() if spec.kind is None}
+
+    def side(s):
+        return tuple(r for r in results.values() if r.side is s)
+
+    g_shoot = results[Method.SHOOTING].value
+    g_nys = results[Method.NYSTROM].value
+    report = SandwichReport(pot, ell, side(Side.LOWER), side(Side.UPPER),
+                            g_shoot, g_nys, time.perf_counter() - t0)
     if not report.ordering_ok(ordering_tol):
         raise InvariantViolation(
             f"bound ordering violated for {pot.label()} ell={ell}: "

@@ -22,8 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import bounds, exact
-from .bounds import Method, sandwich
+from .bounds import METHODS, Method, Side, sandwich
 from .errors import (AccuracyError, ConfigurationError, DegeneratePotentialError,
                      DomainError, IntegrationError, InvariantViolation,
                      NoBoundStateError, SearchRangeError, TruncationError)
@@ -40,31 +39,7 @@ EXIT_NUMERICAL = 3
 CSV_COLUMNS = ("ell", "g_BS", "g_eq2", "g_B", "g_GGMT", "g_c_shoot",
                "g_c_nystrom", "g_New", "p*", "g_C1", "g_C2")
 
-_BOUND_METHODS = {
-    "bargmann_schwinger": bounds.lower_bargmann_schwinger,
-    "second_order": bounds.lower_second_order,
-    "third_order": bounds.lower_third_order,
-    "ggmt": bounds.lower_ggmt,
-    "calogero_i": bounds.upper_calogero_I,
-    "calogero_ii": bounds.upper_calogero_II,
-    "variational": bounds.upper_variational,
-}
-
-_ORACLES = ("shooting", "nystrom")
-
-METHOD_NAMES = tuple(_BOUND_METHODS) + ("variational_closed_form",) + _ORACLES
-
-_METHOD_COLUMN = {
-    "bargmann_schwinger": "g_BS",
-    "second_order": "g_eq2",
-    "third_order": "g_B",
-    "ggmt": "g_GGMT",
-    "shooting": "g_c_shoot",
-    "nystrom": "g_c_nystrom",
-    "variational": "g_New",
-    "calogero_i": "g_C1",
-    "calogero_ii": "g_C2",
-}
+METHOD_NAMES = tuple(m.value for m in METHODS)
 
 
 @dataclass(frozen=True)
@@ -105,52 +80,33 @@ class RunRecord:
 
 
 def expand_methods(names, potential: Potential) -> tuple[str, ...]:
-    """Resolve 'all' to every applicable bound method, order preserved."""
-    out = []
+    """Resolve 'all' to every bound method that applies to the potential;
+    first appearance sets the order, repeats are dropped."""
+    every = [m.value for m, spec in METHODS.items()
+             if spec.side is not Side.EXACT and spec.kind in (None, potential.kind)]
+    out: dict[str, None] = {}
     for name in names:
-        if name == "all":
-            out.extend(_BOUND_METHODS)
-            if potential.kind is Kind.SQUARE_WELL:
-                out.append("variational_closed_form")
-        else:
-            out.append(name)
-    seen = set()
-    uniq = []
-    for n in out:
-        if n not in seen:
-            seen.add(n)
-            uniq.append(n)
-    return tuple(uniq)
+        out.update(dict.fromkeys(every if name == "all" else (name,)))
+    return tuple(out)
 
 
 def run(config: RunConfig) -> list[RunRecord]:
     """One record per (ell, method), in deterministic order."""
     methods = expand_methods(config.methods, config.potential)
-    if "variational_closed_form" in methods and config.potential.kind is not Kind.SQUARE_WELL:
-        raise ConfigurationError(
-            "method variational_closed_form applies only to potential kind square_well")
+    specs = [METHODS[Method(name)] for name in methods]
+    for spec in specs:
+        if spec.kind not in (None, config.potential.kind):
+            raise ConfigurationError(f"method {spec.method.value} applies only "
+                                     f"to potential kind {spec.kind.value}")
     cfg = config.quadrature
     records = []
     for ell in config.ells:
-        for name in methods:
+        for spec in specs:
             t0 = time.perf_counter()
-            if name == "shooting":
-                value, param = exact.critical_coupling_shooting(
-                    config.potential, ell, cfg), None
-                err = 1e-11 * value   # threshold root width + integrator error
-            elif name == "nystrom":
-                value, param = exact.critical_coupling_nystrom(
-                    config.potential, ell, config.n_nystrom, cfg), None
-                err = 1e-5 * value    # discretization scale at the default n
-            elif name == "variational_closed_form":
-                res = bounds.upper_variational_square_well(ell)
-                value, param = res.value, res.optimal_param
-                err = 0.0
-            else:
-                res = _BOUND_METHODS[name](config.potential, ell, cfg)
-                value, param = res.value, res.optimal_param
-                err = 10.0 * cfg.rel_tol * value
-            records.append(RunRecord(ell, name, value, param, err,
+            res = spec.compute(config.potential, ell, cfg, config.n_nystrom)
+            rel_err = 10.0 * cfg.rel_tol if spec.rel_error is None else spec.rel_error
+            records.append(RunRecord(ell, spec.method.value, res.value,
+                                     res.optimal_param, rel_err * res.value,
                                      time.perf_counter() - t0))
     return records
 
@@ -160,12 +116,12 @@ def render_wide(records: list[RunRecord], fmt: str, digits: int) -> str:
     num = f"{{:.{digits}g}}"
     by_ell: dict[int, dict[str, str]] = {}
     for rec in records:
-        col = _METHOD_COLUMN.get(rec.method)
+        col = METHODS[Method(rec.method)].column
         if col is None:
             continue
         cells = by_ell.setdefault(rec.ell, {})
         cells[col] = num.format(rec.value)
-        if rec.method == "variational" and rec.optimal_param is not None:
+        if rec.method == Method.VARIATIONAL and rec.optimal_param is not None:
             cells["p*"] = num.format(rec.optimal_param)
     rows = [[str(ell)] + [by_ell[ell].get(c, "") for c in CSV_COLUMNS[1:]]
             for ell in sorted(by_ell)]
@@ -188,17 +144,21 @@ def render_wide(records: list[RunRecord], fmt: str, digits: int) -> str:
 def load_grid_csv(path: str) -> list[tuple[float, float]]:
     """Two-column CSV (radius, value); a non-numeric first row is a header."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rownum, row in enumerate(csv.reader(fh)):
-            if not row or not "".join(row).strip():
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"field grid_csv: cannot read {path!r}: {exc}") from None
+    for rownum, row in enumerate(lines):
+        if not row or not "".join(row).strip():
+            continue
+        try:
+            rows.append((float(row[0]), float(row[1])))
+        except (ValueError, IndexError):
+            if rownum == 0:
                 continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if rownum == 0:
-                    continue
-                raise ConfigurationError(
-                    f"{path}: line {rownum + 1} is not 'radius,value'")
+            raise ConfigurationError(
+                f"{path}: line {rownum + 1} is not 'radius,value'")
     if not rows:
         raise ConfigurationError(f"{path}: no grid rows found")
     return rows
@@ -240,66 +200,55 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(text.replace(",", " ").split())
 
 
+#: per section: (INI key, option name, parser) of every recognized key
+_CONFIG_KEYS = {
+    "potential": (("kind", "kind", str), ("R", "R", float),
+                  ("alpha", "alpha", float), ("shell_width", "shell_width", float),
+                  ("grid_csv", "grid_csv", str)),
+    "run": (("ell", "ells", _parse_ints), ("methods", "methods", _parse_names),
+            ("format", "fmt", str), ("digits", "digits", int)),
+    "quadrature": (("rel_tol", "rel_tol", float), ("abs_tol", "abs_tol", float),
+                   ("max_subdivisions", "max_subdivisions", int),
+                   ("max_radius", "max_radius", float)),
+}
+
+
 def read_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigurationError(f"cannot read config file {path!r}")
-    out: dict = {}
-    if parser.has_section("potential"):
-        sec = parser["potential"]
-        out["kind"] = sec.get("kind")
-        if sec.get("R") is not None:
-            out["R"] = sec.getfloat("R")
-        if sec.get("alpha") is not None:
-            out["alpha"] = sec.getfloat("alpha")
-        if sec.get("shell_width") is not None:
-            out["shell_width"] = sec.getfloat("shell_width")
-        if sec.get("grid_csv") is not None:
-            out["grid_csv"] = sec.get("grid_csv")
-    if parser.has_section("run"):
-        sec = parser["run"]
-        if sec.get("ell") is not None:
-            out["ells"] = _parse_ints(sec.get("ell"))
-        if sec.get("methods") is not None:
-            out["methods"] = _parse_names(sec.get("methods"))
-        if sec.get("format") is not None:
-            out["fmt"] = sec.get("format")
-        if sec.get("digits") is not None:
-            out["digits"] = sec.getint("digits")
-    if parser.has_section("quadrature"):
-        sec = parser["quadrature"]
-        kwargs = {}
-        for key, conv in (("rel_tol", sec.getfloat), ("abs_tol", sec.getfloat),
-                          ("max_subdivisions", sec.getint),
-                          ("max_radius", sec.getfloat)):
-            if sec.get(key) is not None:
-                kwargs[key] = conv(key)
-        out["quadrature"] = QuadratureConfig(**kwargs)
+    sections = {}
+    try:
+        if not parser.read(path):
+            raise ConfigurationError(f"cannot read config file {path!r}")
+        for name, keys in _CONFIG_KEYS.items():
+            if parser.has_section(name):
+                sec = parser[name]
+                sections[name] = {opt: _config_value(path, name, key, sec[key], conv)
+                                  for key, opt, conv in keys if key in sec}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"config file {path!r}: {exc}") from None
+    out = {**sections.get("potential", {}), **sections.get("run", {})}
+    if "quadrature" in sections:
+        out["quadrature"] = QuadratureConfig(**sections["quadrature"])
     return out
 
 
+def _config_value(path: str, section: str, key: str, text: str, conv):
+    try:
+        return conv(text)
+    except ValueError:
+        raise ConfigurationError(f"config file {path!r}: [{section}] {key} = "
+                                 f"{text!r} is not a valid value") from None
+
+
 def _merge_run_config(args) -> RunConfig:
-    opts: dict = {}
-    if args.config:
-        opts.update(read_config_file(args.config))
-    if args.potential:
-        opts["kind"] = args.potential
-    if args.R is not None:
-        opts["R"] = args.R
-    if args.alpha is not None:
-        opts["alpha"] = args.alpha
-    if args.shell_width is not None:
-        opts["shell_width"] = args.shell_width
-    if args.grid_csv is not None:
-        opts["grid_csv"] = args.grid_csv
-    if args.ell:
-        opts["ells"] = tuple(args.ell)
-    if args.methods:
-        opts["methods"] = tuple(args.methods)
-    if args.format:
-        opts["fmt"] = args.format
-    if args.digits is not None:
-        opts["digits"] = args.digits
+    opts: dict = read_config_file(args.config) if args.config else {}
+    # flags given on the command line override the config file
+    flags = {"kind": args.potential or None, "R": args.R, "alpha": args.alpha,
+             "shell_width": args.shell_width, "grid_csv": args.grid_csv,
+             "ells": tuple(args.ell) if args.ell else None,
+             "methods": tuple(args.methods) if args.methods else None,
+             "fmt": args.format or None, "digits": args.digits}
+    opts.update({k: v for k, v in flags.items() if v is not None})
     if not opts.get("kind"):
         raise ConfigurationError("field kind: no potential given (flag or config file)")
     potential = build_potential(opts["kind"], opts.get("R", 1.0),

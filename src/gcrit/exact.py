@@ -24,7 +24,7 @@ from scipy.special import jv
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      NoBoundStateError)
 from .potentials import AngularMomentum, Potential
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_semi_infinite
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 #: default step of the log-radius RK4 grid; 0.004 keeps the threshold error
 #: near 1e-11 relative for every built-in shape while a solve stays a few ms
@@ -158,12 +158,7 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     the growing-mode coefficient, then polishes the root to relative 1e-12.
     """
     if g_start is None:
-        if pot.is_compact:
-            moment = integrate(lambda r: r * pot.evaluate(r), 0.0, pot.cutoff,
-                               cfg, points=pot.breakpoints()).value
-        else:
-            moment = integrate_semi_infinite(
-                lambda r: r * pot.evaluate(r), 0.0, cfg).value
+        moment = pot.support_integral(lambda r: r * pot.evaluate(r), cfg)
         if not moment > 0:
             raise NoBoundStateError("shape has a vanishing first moment")
         g_start = 0.98 * (2 * ell + 1) / moment

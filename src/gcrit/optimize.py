@@ -1,10 +1,13 @@
 """Scalar minimization on a logarithmic axis.
 
-The bound optimizations (trial-function power p, matching radius a) are
-smooth and empirically unimodal but their minima spread over two decades, so
-the search works in log space: a geometric pre-scan locates a bracket, the
-bracket is expanded geometrically while the best sample sits on a soft edge,
-and golden-section refinement finishes to a relative width target.
+The bound optimizations (GGMT power p, the matching radius a of both
+Calogero conditions, trial-function power p) are smooth and empirically
+unimodal but their optima spread over two decades, so the search works in
+log space: a 13-point geometric pre-scan locates a bracket, the bracket's
+log width is doubled while the best sample sits on a soft edge, and
+golden-section refinement finishes to a relative width of 1e-6.
+`bounds._optimize_bound` is the one caller: it sets the range and the
+trial accuracy and turns rejected trials into inf.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 from .errors import AccuracyError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PRESCAN = 13      # samples of the initial range
+_REL_TOL = 1e-6    # log width (relative width in x) where refinement stops
 
 
 @dataclass(frozen=True)
@@ -26,14 +31,13 @@ class ScalarMinResult:
     edge_hit: bool
 
 
-def minimize_scalar_log(f, lo: float, hi: float, *, rel_tol: float = 1e-6,
-                        prescan: int = 13, expand_factor: float = 100.0,
-                        max_expansions: int = 4,
+def minimize_scalar_log(f, lo: float, hi: float, *, max_expansions: int = 4,
                         hard_edges: bool = False) -> ScalarMinResult:
     """Minimize f over [lo, hi] on a log axis.
 
-    With hard_edges=False the bracket grows by expand_factor whenever the
-    pre-scan minimum lands on an edge; running out of expansions raises
+    With hard_edges=False, whenever the best sample lands on an edge the
+    bracket is extended past that edge by its own log width, which doubles
+    it, with _PRESCAN - 1 new samples; running out of expansions raises
     AccuracyError.  With hard_edges=True an edge minimum is legitimate
     (capped parameter ranges) and is refined in place with a warning at the
     upper cap.
@@ -48,7 +52,7 @@ def minimize_scalar_log(f, lo: float, hi: float, *, rel_tol: float = 1e-6,
         return f(math.exp(s))
 
     a, b = math.log(lo), math.log(hi)
-    n = max(prescan, 5)
+    n = _PRESCAN
     ss = [a + (b - a) * i / (n - 1) for i in range(n)]
     fs = [eval_log(s) for s in ss]
 
@@ -85,7 +89,7 @@ def minimize_scalar_log(f, lo: float, hi: float, *, rel_tol: float = 1e-6,
     c = s_hi - _INVPHI * (s_hi - s_lo)
     d = s_lo + _INVPHI * (s_hi - s_lo)
     fc, fd = eval_log(c), eval_log(d)
-    while s_hi - s_lo > rel_tol:
+    while s_hi - s_lo > _REL_TOL:
         if fc <= fd:
             s_hi, d, fd = d, c, fc
             c = s_hi - _INVPHI * (s_hi - s_lo)

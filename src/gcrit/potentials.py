@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TruncationError
+from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite
 
 
 class Kind(str, Enum):
@@ -175,6 +176,13 @@ class Potential:
         if self.kind is Kind.TABULATED:
             return tuple(r for r, _ in self.grid[:-1])
         return ()
+
+    def support_integral(self, f, cfg: QuadratureConfig) -> float:
+        """Integral of f over the support: (0, cutoff), or (0, inf) for a
+        decaying shape, with panel edges seeded at the breakpoints."""
+        if self.is_compact:
+            return integrate(f, 0.0, self.cutoff, cfg, points=self.breakpoints()).value
+        return integrate_semi_infinite(f, 0.0, cfg, points=self.breakpoints()).value
 
     # -- evaluation ---------------------------------------------------------
 

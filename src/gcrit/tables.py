@@ -22,18 +22,19 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .bounds import (lower_bargmann_schwinger, lower_ggmt, lower_third_order,
-                     upper_calogero_I, upper_calogero_II, upper_variational)
+from .bounds import METHODS, Method
 from .errors import ConfigurationError
-from .exact import critical_coupling_shooting
 from .potentials import Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 G_COLUMN_TOL = 2e-4   # printed precision is 5 significant digits
 P_COLUMN_TOL = 1e-3   # the optimal power sits in a flat minimum
 
-# column order as printed
-_G_COLUMNS = ("g_BS", "g_B", "g_GGMT", "g_c", "g_New", "g_C1", "g_C2")
+# the coupling columns in their printed order, each with the method filling
+# it; tables 2-4 add the variational method's optimal power as column "p"
+_G_COLUMNS = {"g_BS": Method.BARGMANN_SCHWINGER, "g_B": Method.THIRD_ORDER,
+              "g_GGMT": Method.GGMT, "g_c": Method.SHOOTING, "g_New": Method.VARIATIONAL,
+              "g_C1": Method.CALOGERO_I, "g_C2": Method.CALOGERO_II}
 
 _TABLE_1 = {
     0: (2.0, 2.4662, 2.3593, 2.4674, 2.4747, 2.6667, 4.0),
@@ -185,20 +186,11 @@ def compute_table_row(table_id: int, label: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, ...]:
     """One freshly computed row in the printed column order."""
     pot, ell = _row_potential(table_id, label)
-    has_p = _SPECS[table_id][3]
-    variational = upper_variational(pot, ell, cfg)
-    row = [
-        lower_bargmann_schwinger(pot, ell, cfg).value,
-        lower_third_order(pot, ell, cfg).value,
-        lower_ggmt(pot, ell, cfg).value,
-        critical_coupling_shooting(pot, ell, cfg),
-        variational.value,
-        upper_calogero_I(pot, ell, cfg).value,
-        upper_calogero_II(pot, ell, cfg).value,
-    ]
-    if has_p:
-        row.append(variational.optimal_param)
-    return tuple(row)
+    results = {m: METHODS[m].compute(pot, ell, cfg) for m in _G_COLUMNS.values()}
+    row = tuple(r.value for r in results.values())
+    if _SPECS[table_id][3]:
+        row += (results[Method.VARIATIONAL].optimal_param,)
+    return row
 
 
 def reproduce_table(table_id: int,
@@ -207,7 +199,7 @@ def reproduce_table(table_id: int,
     if table_id not in _SPECS:
         raise ConfigurationError(f"table id must be 1..4, got {table_id!r}")
     title, row_label, data, has_p = _SPECS[table_id]
-    columns = _G_COLUMNS + (("p",) if has_p else ())
+    columns = tuple(_G_COLUMNS) + (("p",) if has_p else ())
     tolerances = (G_COLUMN_TOL,) * len(_G_COLUMNS) + ((P_COLUMN_TOL,) if has_p else ())
     labels = tuple(data.keys())
     errata = tuple(e for e in ERRATA if e.table_id == table_id)

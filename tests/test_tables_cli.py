@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from gcrit.cli import (CSV_COLUMNS, RunConfig, build_potential, expand_methods,
-                       load_grid_csv, main, render_wide, run)
+from gcrit import bounds
+from gcrit.bounds import sandwich
+from gcrit.cli import (CSV_COLUMNS, METHOD_NAMES, RunConfig, build_potential,
+                       expand_methods, load_grid_csv, main, render_wide, run)
 from gcrit.errors import ConfigurationError
 from gcrit.potentials import Potential
-from gcrit.tables import printed_values, reproduce_table
+from gcrit.tables import compute_table_row, printed_values, reproduce_table
 
 
 def test_printed_values_spot_checks():
@@ -234,3 +236,61 @@ def test_cli_check_flags_irregular_potential(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "regular" in out
+
+
+def test_method_order_is_pinned(capsys):
+    assert METHOD_NAMES == (
+        "bargmann_schwinger", "second_order", "third_order", "ggmt",
+        "calogero_i", "calogero_ii", "variational", "variational_closed_form",
+        "shooting", "nystrom")
+    assert main(["compute", "--potential", "square_well", "--ell", "0",
+                 "--methods", "all", "--records"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == [
+        "bargmann_schwinger", "second_order", "third_order", "ggmt",
+        "calogero_i", "calogero_ii", "variational", "variational_closed_form"]
+
+
+def test_callers_reach_replaced_module_attributes(monkeypatch):
+    # a tracer (or a spy) swaps module attributes; a caller holding function
+    # objects captured at import time would bypass the swap
+    calls = []
+    for name in ("upper_calogero_I", "critical_coupling_shooting"):
+        def counted(*args, _real=getattr(bounds, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, counted)
+    want = ["critical_coupling_shooting", "upper_calogero_I"]
+    pot = Potential.square_well()
+
+    sandwich(pot, 0)
+    assert sorted(calls) == want
+    calls.clear()
+    compute_table_row(1, 0)
+    assert sorted(calls) == want
+    calls.clear()
+    run(RunConfig(potential=pot, ells=(0,), methods=("calogero_i", "shooting")))
+    assert sorted(calls) == want
+
+
+@pytest.mark.parametrize("ini, flags, named", [
+    ("[potential]\nkind = yukawa\nR = wide\n", [], "R = 'wide'"),
+    ("[potential]\nkind = yukawa\n[run]\nell = 0 x\n", [], "ell = '0 x'"),
+    ("[potential]\nkind = yukawa\n[quadrature]\nrel_tol = fast\n", [],
+     "rel_tol = 'fast'"),
+    ("kind = yukawa\n", [], "no section headers"),
+    ("[potential]\nkind = tabulated\n", ["--grid-csv", "missing.csv"],
+     "grid_csv"),
+], ids=["R", "ell", "rel_tol", "no_header", "missing_grid"])
+def test_cli_malformed_config_is_a_configuration_error(tmp_path, capsys, ini,
+                                                       flags, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+    assert main(["compute", "--config", str(cfg), "--methods",
+                 "bargmann_schwinger", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert named in err
+    assert "Traceback" not in err
