@@ -26,11 +26,15 @@ from .errors import (AccuracyError, DomainError, IntegrationError,
 from .potentials import AngularMomentum, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
-#: default step of the log-radius RK4 grid; 0.004 keeps the threshold error
-#: near 1e-11 relative for every built-in shape while a solve stays a few ms
+#: default step of the log-radius RK4 grid; 0.004 keeps the threshold within
+#: 6e-10 relative of the closed forms for l <= 5 (1e-12 to 1.5e-11 at l = 0)
+#: at 2.5-5 ms per trial strength, 25-260 ms per solve (built-in shapes,
+#: l <= 5, one core of a 2-CPU box)
 DEFAULT_LOG_STEP = 0.004
 
 _TAIL_TOL = 1e-12
+#: times the threshold scan may halve its log-step before giving up
+_SCAN_REFINEMENTS = 6
 _EDGE_NUDGE = 1e-13
 
 
@@ -85,7 +89,7 @@ def shoot_zero_energy(pot: Potential, ell: int, g: float,
     and L = l + 1/2; the log grid resolves both the centrifugal region and
     wide supports with uniform cost.
     """
-    w, dw, _ = _integrate_log_radial(pot, ell, g, cfg, log_step)
+    w, dw, _, _ = _integrate_log_radial(pot, ell, g, cfg, log_step)
     L = AngularMomentum(ell).L
     # u = e^{s/2} w gives r u' + l u = e^{s/2}(w' + L w); dividing by the
     # growing mode leaves A up to a positive factor, normalized here by the
@@ -101,7 +105,7 @@ def zero_energy_state(pot: Potential, ell: int, g: float,
     The solution is normalized to unit scale (the radial equation is
     linear), with u ~ r^(l+1) near the origin.
     """
-    w, dw, s_end = _integrate_log_radial(pot, ell, g, cfg, log_step)
+    w, dw, s_end, _ = _integrate_log_radial(pot, ell, g, cfg, log_step)
     scale = max(abs(w), abs(dw), 1e-300)
     w, dw = w / scale, dw / scale
     half = math.exp(0.5 * s_end)
@@ -110,14 +114,17 @@ def zero_energy_state(pot: Potential, ell: int, g: float,
 
 
 def _integrate_log_radial(pot: Potential, ell: int, g: float,
-                          cfg: QuadratureConfig,
-                          log_step: float) -> tuple[float, float, float]:
+                          cfg: QuadratureConfig, log_step: float,
+                          count_nodes: bool = False
+                          ) -> tuple[float, float, float, int]:
+    """(w, w') at the matching radius, its log-radius, and the sign changes
+    of w between the grid points on the way (0 unless count_nodes)."""
     if not g > 0:
         raise DomainError("strength g must be positive")
     L = AngularMomentum(ell).L
     pts = _segment_radii(pot, cfg.max_radius)
     s_pts = [math.log(p) for p in pts]
-    w, dw = 1.0, L
+    w, dw, nodes = 1.0, L, 0
     for i in range(len(pts) - 1):
         sa, sb = s_pts[i], s_pts[i + 1]
         n = max(8, math.ceil((sb - sa) / log_step))
@@ -128,15 +135,17 @@ def _integrate_log_radial(pot: Potential, ell: int, g: float,
         # v at breakpoints are evaluated with their interior limit
         r_nodes[0] = pts[i] * (1.0 + _EDGE_NUDGE)
         r_nodes[-1] = pts[i + 1] * (1.0 - _EDGE_NUDGE)
-        q = L * L - g * r_nodes ** 2 * pot.evaluate(r_nodes)
-        for j in range(n):
-            q0, qh, q1 = q[2 * j], q[2 * j + 1], q[2 * j + 2]
+        # Python floats: numpy scalar arithmetic would cost several times
+        # more per step; 0.5 * h * k already evaluates as (0.5 * h) * k
+        q = (L * L - g * r_nodes ** 2 * pot.evaluate(r_nodes)).tolist()
+        half, sixth = 0.5 * h, h / 6.0
+        for q0, qh, q1 in zip(q[0:-1:2], q[1::2], q[2::2]):
             k1w, k1d = dw, q0 * w
-            k2w, k2d = dw + 0.5 * h * k1d, qh * (w + 0.5 * h * k1w)
-            k3w, k3d = dw + 0.5 * h * k2d, qh * (w + 0.5 * h * k2w)
+            k2w, k2d = dw + half * k1d, qh * (w + half * k1w)
+            k3w, k3d = dw + half * k2d, qh * (w + half * k2w)
             k4w, k4d = dw + h * k3d, q1 * (w + h * k3w)
-            w += (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            dw += (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            dw += sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             scale = abs(w) + abs(dw)
             if scale > 1e250:
                 w /= scale
@@ -144,7 +153,10 @@ def _integrate_log_radial(pot: Potential, ell: int, g: float,
             elif not math.isfinite(scale):
                 raise IntegrationError(
                     f"shooting state became non-finite at g={g!r}")
-    return w, dw, s_pts[-1]
+            # w starts positive, so an odd count means w should be negative
+            if count_nodes and (w < 0.0) != (nodes & 1):
+                nodes += 1
+    return w, dw, s_pts[-1], nodes
 
 
 def critical_coupling_shooting(pot: Potential, ell: int,
@@ -156,6 +168,9 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     Scans geometrically upward from just below the weakest lower bound
     (strength per unit shape integral), brackets the first sign change of
     the growing-mode coefficient, then polishes the root to relative 1e-12.
+    The node count of the solution at the upper end confirms that the
+    bracket holds the first threshold; if not, the scan is repeated with a
+    finer step.
     """
     if g_start is None:
         moment = pot.support_integral(lambda r: r * pot.evaluate(r), cfg)
@@ -174,16 +189,28 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     if fa <= 0:
         raise NoBoundStateError("no subcritical strength found below the scan start")
     cap = g_start * 1e4
-    while True:
-        b = a * 1.25
-        fb = coeff(b)
-        if fa > 0 and fb <= 0:
-            break
-        a, fa = b, fb
-        if a > cap:
-            raise NoBoundStateError(
-                f"growing-mode coefficient did not change sign below g = {cap:g}")
-    return brentq(coeff, a, b, rtol=1e-12, xtol=1e-300)
+    a0, fa0 = a, fa
+    factor = 1.25
+    for _ in range(_SCAN_REFINEMENTS + 1):
+        a, fa = a0, fa0
+        while True:
+            b = a * factor
+            fb = coeff(b)
+            if fa > 0 and fb <= 0:
+                break
+            a, fa = b, fb
+            if a > cap:
+                raise NoBoundStateError(
+                    f"growing-mode coefficient did not change sign below g = {cap:g}")
+        # Sturm: between the first two thresholds w has at most one node
+        # below the matching radius, past the third at least two; a step
+        # wider than the gap between thresholds can skip the first two
+        if _integrate_log_radial(pot, ell, b, cfg, log_step,
+                                 count_nodes=True)[3] <= 1:
+            return brentq(coeff, a, b, rtol=1e-12, xtol=1e-300)
+        factor = math.sqrt(factor)
+    raise AccuracyError(
+        f"no scan step isolated the first threshold above g = {a0:g}")
 
 
 @dataclass(frozen=True)
@@ -222,12 +249,18 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
     gregory[[2, -3]] = 23.0 / 24.0
     w = h * xp * gregory[1:]
     v = pot.evaluate(x)
-    lo = np.minimum.outer(x, x)
-    hi = np.maximum.outer(x, x)
+    # x increases, so min^(l+1) max^(-l) is the smaller of x_i^(l+1) x_j^(-l)
+    # and its transpose: the same two factors per entry, and adjacent nodes
+    # differ by far more than rounding, so the min never picks wrongly.
+    # Built in place so at most two n x n arrays are live.
     with np.errstate(divide="ignore"):
-        kernel = lo ** (ell + 1) * hi ** (-ell) / (2 * ell + 1)
+        a = x ** (ell + 1)
+        b = x ** (-ell)
+        matrix = np.multiply.outer(a, b)
+        np.minimum(matrix, np.multiply.outer(b, a), out=matrix)
+        matrix /= 2 * ell + 1
     s = np.sqrt(w * v)
-    matrix = s[:, None] * s[None, :] * kernel
+    matrix *= np.multiply.outer(s, s)
     # trapezoid picks up an O(h^2) term from the slope jump of the kernel
     # across the diagonal; subtracting it locally restores fast convergence
     diag = np.diag_indices(n)
@@ -252,6 +285,9 @@ def largest_eigenvalue(matrix: np.ndarray, tol: float = 1e-12,
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             raise AccuracyError("kernel matrix annihilated the iterate")
+        # a non-finite entry poisons every later iterate, so stop at once
+        if not (math.isfinite(mu) and math.isfinite(norm)):
+            raise AccuracyError("power iteration produced a non-finite iterate")
         b = y / norm
         if abs(mu - mu_old) <= tol * abs(mu):
             return mu

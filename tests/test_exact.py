@@ -6,14 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from gcrit.errors import DomainError
-from gcrit.exact import (bessel_first_zero, critical_coupling_nystrom,
-                         critical_coupling_shooting, exponential_exact_swave,
-                         greens_function, kernel_discretization,
-                         largest_eigenvalue, shoot_zero_energy,
-                         square_well_exact, stis_exact_swave,
-                         zero_energy_state)
-from gcrit.potentials import Potential
+from gcrit.cli import main
+from gcrit.errors import AccuracyError, DomainError, IntegrationError
+from gcrit.exact import (DEFAULT_LOG_STEP, _EDGE_NUDGE, _integrate_log_radial,
+                         _segment_radii, bessel_first_zero,
+                         critical_coupling_nystrom, critical_coupling_shooting,
+                         exponential_exact_swave, greens_function,
+                         kernel_discretization, largest_eigenvalue,
+                         shoot_zero_energy, square_well_exact,
+                         stis_exact_swave, zero_energy_state)
+from gcrit.potentials import AngularMomentum, Potential
+from gcrit.quadrature import DEFAULT_CONFIG
 
 
 def test_greens_function_values():
@@ -136,3 +139,187 @@ def test_nystrom_converges_with_node_count():
     exact = exponential_exact_swave()
     got = critical_coupling_nystrom(pot, 0, 400)
     assert abs(got - exact) / exact < 1e-6
+
+
+# -- freeze-then-verify: the float RK4 loop and the in-place kernel ---------
+
+def _tabulated_28():
+    radii = np.linspace(0.05, 2.0, 28)
+    values = np.exp(-radii ** 2) * (1.0 + 0.3 * np.sin(3.0 * radii))
+    return Potential.tabulated(list(zip(radii, values)))
+
+
+SHAPES = {
+    "square_well": Potential.square_well(),
+    "exponential": Potential.exponential(),
+    "yukawa": Potential.yukawa(),
+    "stis": Potential.stis(1.0),
+    "shell": Potential.shell(width=0.1),
+    "tabulated28": _tabulated_28(),
+}
+#: the largest of these grows the solution past the 1e250 renormalization
+FROZEN_ELLS = (0, 3, 5, 60)
+
+
+def reference_integrate_log_radial(pot, ell, g, cfg=DEFAULT_CONFIG,
+                                   log_step=DEFAULT_LOG_STEP):
+    """The RK4 loop on numpy scalars, indexed per step, as first written.
+
+    Returns (w, w', s_end, number of renormalizations).
+    """
+    if not g > 0:
+        raise DomainError("strength g must be positive")
+    L = AngularMomentum(ell).L
+    pts = _segment_radii(pot, cfg.max_radius)
+    s_pts = [math.log(p) for p in pts]
+    w, dw = 1.0, L
+    renormalized = 0
+    for i in range(len(pts) - 1):
+        sa, sb = s_pts[i], s_pts[i + 1]
+        n = max(8, math.ceil((sb - sa) / log_step))
+        h = (sb - sa) / n
+        s_nodes = sa + h * np.arange(2 * n + 1) / 2.0
+        r_nodes = np.exp(s_nodes)
+        r_nodes[0] = pts[i] * (1.0 + _EDGE_NUDGE)
+        r_nodes[-1] = pts[i + 1] * (1.0 - _EDGE_NUDGE)
+        q = L * L - g * r_nodes ** 2 * pot.evaluate(r_nodes)
+        for j in range(n):
+            q0, qh, q1 = q[2 * j], q[2 * j + 1], q[2 * j + 2]
+            k1w, k1d = dw, q0 * w
+            k2w, k2d = dw + 0.5 * h * k1d, qh * (w + 0.5 * h * k1w)
+            k3w, k3d = dw + 0.5 * h * k2d, qh * (w + 0.5 * h * k2w)
+            k4w, k4d = dw + h * k3d, q1 * (w + h * k3w)
+            w += (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            dw += (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            scale = abs(w) + abs(dw)
+            if scale > 1e250:
+                w /= scale
+                dw /= scale
+                renormalized += 1
+            elif not math.isfinite(scale):
+                raise IntegrationError(
+                    f"shooting state became non-finite at g={g!r}")
+    return w, dw, s_pts[-1], renormalized
+
+
+def reference_kernel_matrix(pot, ell, n, cfg=DEFAULT_CONFIG):
+    """The Nystrom matrix from min/max outer products, as first written."""
+    r_eff = pot.support_radius(1e-13, cfg.max_radius)
+    h = 1.0 / n
+    z = h * np.arange(1, n + 1)
+    x = r_eff * z * z
+    xp = 2.0 * r_eff * z
+    gregory = np.ones(n + 1)
+    gregory[[0, -1]] = 3.0 / 8.0
+    gregory[[1, -2]] = 7.0 / 6.0
+    gregory[[2, -3]] = 23.0 / 24.0
+    w = h * xp * gregory[1:]
+    v = pot.evaluate(x)
+    lo = np.minimum.outer(x, x)
+    hi = np.maximum.outer(x, x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kernel = lo ** (ell + 1) * hi ** (-ell) / (2 * ell + 1)
+        s = np.sqrt(w * v)
+        matrix = s[:, None] * s[None, :] * kernel
+        diag = np.diag_indices(n)
+        corrected = matrix[diag] - (h * h / 12.0) * xp * xp * v
+        matrix[diag] = np.maximum(corrected, 0.0)
+    return matrix
+
+
+@pytest.mark.parametrize("ell", FROZEN_ELLS)
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_float_rk4_loop_matches_numpy_scalar_loop(name, ell):
+    pot = SHAPES[name]
+    g_c = critical_coupling_shooting(pot, ell)
+    L = ell + 0.5
+    for g in (0.5 * g_c, g_c, 2.0 * g_c):
+        w, dw, s_end, renormalized = reference_integrate_log_radial(pot, ell, g)
+        if ell == FROZEN_ELLS[-1]:
+            assert renormalized > 0
+        assert _integrate_log_radial(pot, ell, g, DEFAULT_CONFIG,
+                                     DEFAULT_LOG_STEP)[:3] == (w, dw, s_end)
+        assert shoot_zero_energy(pot, ell, g) == \
+            (dw + L * w) / max(abs(w), abs(dw), 1e-300)
+        scale = max(abs(w), abs(dw), 1e-300)
+        half = math.exp(0.5 * s_end)
+        state = zero_energy_state(pot, ell, g)
+        assert (state.r, state.u, state.du) == (
+            math.exp(s_end), half * (w / scale),
+            (dw / scale + 0.5 * (w / scale)) / half)
+
+
+def test_float_rk4_loop_overflow_raises_like_numpy_scalar_loop():
+    pot = Potential.tabulated([(0.1, 1e308), (0.5, 1e308), (1.0, 0.0)])
+    with pytest.raises(IntegrationError) as ref:
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference_integrate_log_radial(pot, 0, 1.0)
+    with pytest.raises(IntegrationError) as got:
+        shoot_zero_energy(pot, 0, 1.0)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("n", (50, 400))
+@pytest.mark.parametrize("ell", (0, 3, 5))
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_in_place_kernel_matches_min_max_kernel(name, ell, n):
+    pot = SHAPES[name]
+    assert np.array_equal(kernel_discretization(pot, ell, n).matrix,
+                          reference_kernel_matrix(pot, ell, n))
+
+
+@pytest.mark.parametrize("n, ell", [(400, 60), (1600, 50), (1600, 60)])
+def test_in_place_kernel_matches_where_min_max_kernel_is_finite(n, ell):
+    # x_1^(-l) overflows here, leaving non-finite entries in both kernels
+    pot = Potential.square_well()
+    ref = reference_kernel_matrix(pot, ell, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = kernel_discretization(pot, ell, n).matrix
+    finite = np.isfinite(ref)
+    assert not finite.all()
+    assert np.array_equal(got[finite], ref[finite])
+    assert np.count_nonzero(~np.isfinite(got)) == np.count_nonzero(~finite)
+
+
+# -- shooting scan past closely spaced thresholds ----------------------------
+
+def test_shooting_square_well_high_ell_finds_first_threshold():
+    # thresholds here are less than 1.25x apart, so the geometric scan can
+    # step over two at once; the node count must send it back
+    pot = Potential.square_well()
+    for ell in range(40, 61):
+        got = critical_coupling_shooting(pot, ell)
+        assert abs(got / square_well_exact(ell) - 1.0) <= 1e-6, ell
+
+
+def test_shooting_scan_started_past_two_thresholds_raises():
+    # from g = 30 the s-wave square well already binds two states, so every
+    # bracket the scan finds holds the third threshold, 61.7, not the first
+    with pytest.raises(AccuracyError,
+                       match="no scan step isolated the first threshold above g = 30"):
+        critical_coupling_shooting(Potential.square_well(), 0, g_start=30.0)
+
+
+# -- power iteration on a non-finite matrix -----------------------------------
+
+def test_power_iteration_stops_at_first_non_finite_iterate():
+    m = np.array([[np.inf, 1.0], [1.0, 2.0]])
+    with pytest.raises(AccuracyError,
+                       match="power iteration produced a non-finite iterate"):
+        largest_eigenvalue(m)
+    with pytest.raises(AccuracyError,
+                       match="power iteration produced a non-finite iterate"):
+        largest_eigenvalue(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_nystrom_overflowing_kernel_is_a_numerical_error(capsys):
+    # x_1^61 is subnormal and x_1^-60 overflows: one inf entry in the kernel
+    with np.errstate(over="ignore"):
+        with pytest.raises(AccuracyError,
+                           match="power iteration produced a non-finite iterate"):
+            critical_coupling_nystrom(Potential.square_well(), 60, 400)
+        assert main(["compute", "--potential", "square_well", "--ell", "60",
+                     "--methods", "nystrom"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: power iteration produced a non-finite iterate" in err
+    assert "Traceback" not in err
