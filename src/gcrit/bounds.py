@@ -76,10 +76,6 @@ def _rel_cfg(cfg: QuadratureConfig) -> QuadratureConfig:
     return replace(cfg, abs_tol=_ABS_FLOOR)
 
 
-def _nested_kwargs(pot: Potential) -> dict:
-    return {"upper": pot.cutoff, "points": pot.breakpoints()}
-
-
 def _positive(value: float, what: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise DegeneratePotentialError(f"{what} evaluated to {value!r}")
@@ -90,16 +86,16 @@ _SEARCH_PANELS = 600  # panel budget of each trial during a parameter search
 
 
 def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
-                    rel_tol: float, rejects: tuple[type[Exception], ...],
-                    hard_edges: bool = False, floor=None) -> BoundResult:
+                    rel_tol: float, hard_edges: bool = False,
+                    floor=None) -> BoundResult:
     """The strongest bound at(x, cfg) over x in [lo, hi]: the largest lower
     limit or the smallest upper one.
 
     The search runs on a log axis with every trial at a loosened copy of
-    cfg (rel_tol, at most _SEARCH_PANELS panels).  A trial that raises one
-    of `rejects`, or whose value is not above floor(search config), scores
-    as infinitely bad.  The bound is then recomputed at the optimum with
-    cfg itself.
+    cfg (rel_tol, at most _SEARCH_PANELS panels).  A trial that exhausts a
+    budget or range, meets a vanishing integral or an overflowing integrand,
+    or whose value is not above floor(search config), scores as infinitely
+    bad.  The bound is then recomputed at the optimum with cfg itself.
     """
     search_cfg = cfg.loosened(rel_tol=rel_tol, max_subdivisions=_SEARCH_PANELS)
     low = 0.0 if floor is None else floor(search_cfg)
@@ -107,7 +103,8 @@ def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
     def objective(x):
         try:
             res = at(x, search_cfg)
-        except rejects:
+        except (AccuracyError, DegeneratePotentialError, IntegrationError,
+                SearchRangeError):
             return math.inf
         if not res.value > low:
             return math.inf
@@ -124,7 +121,7 @@ def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
 def lower_bargmann_schwinger(pot: Potential, ell: int,
                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """First-moment necessary condition: g >= (2l+1) / integral of r v(r)."""
-    ell = AngularMomentum(ell).ell
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     moment = _positive(pot.support_integral(lambda r: r * pot.evaluate(r), _rel_cfg(cfg)),
                        "first moment of the shape")
     return BoundResult(Method.BARGMANN_SCHWINGER, Side.LOWER,
@@ -134,11 +131,11 @@ def lower_bargmann_schwinger(pot: Potential, ell: int,
 def lower_second_order(pot: Potential, ell: int,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Second-order nested-moment necessary condition."""
-    ell = AngularMomentum(ell).ell
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     raw = nested_double(
         lambda x: x ** (-2.0 * ell) * pot.evaluate(x),
         lambda y: y ** (2.0 * ell + 2.0) * pot.evaluate(y),
-        _rel_cfg(cfg), **_nested_kwargs(pot))
+        _rel_cfg(cfg), **pot.support)
     d2 = _positive(2.0 / (2 * ell + 1) ** 2 * raw, "second-order moment")
     return BoundResult(Method.SECOND_ORDER, Side.LOWER, d2 ** -0.5, ell)
 
@@ -146,12 +143,12 @@ def lower_second_order(pot: Potential, ell: int,
 def lower_third_order(pot: Potential, ell: int,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Third-order nested-moment necessary condition."""
-    ell = AngularMomentum(ell).ell
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     raw = nested_triple(
         lambda x: x ** (-2.0 * ell) * pot.evaluate(x),
         lambda y: y * pot.evaluate(y),
         lambda z: z ** (2.0 * ell + 2.0) * pot.evaluate(z),
-        _rel_cfg(cfg), **_nested_kwargs(pot))
+        _rel_cfg(cfg), **pot.support)
     d3 = _positive(6.0 / (2 * ell + 1) ** 3 * raw, "third-order moment")
     return BoundResult(Method.THIRD_ORDER, Side.LOWER, d3 ** (-1.0 / 3.0), ell)
 
@@ -173,12 +170,14 @@ GGMT_P_MAX = 50.0  # beyond this (r^2 v)^p underflows before it informs
 def lower_ggmt_at(pot: Potential, ell: int, p: float,
                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Power-family necessary condition at fixed exponent p >= 1."""
-    ell = AngularMomentum(ell).ell
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     if not p >= 1.0:
         raise DomainError("the power-family condition requires p >= 1")
 
     def integrand(r):
-        return (r * r * pot.evaluate(r)) ** p / r
+        # overflows at large p on a tall shape; quadrature rejects the inf
+        with np.errstate(over="ignore"):
+            return (r * r * pot.evaluate(r)) ** p / r
 
     moment = _positive(pot.support_integral(integrand, _rel_cfg(cfg)),
                        f"power moment at p={p}")
@@ -189,10 +188,9 @@ def lower_ggmt_at(pot: Potential, ell: int, p: float,
 def lower_ggmt(pot: Potential, ell: int,
                cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Strongest member of the power family over p in [1, GGMT_P_MAX]."""
-    ell = AngularMomentum(ell).ell
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     return _optimize_bound(lambda p, c: lower_ggmt_at(pot, ell, p, c), cfg,
-                           1.0, GGMT_P_MAX, 1e-9, (AccuracyError,),
-                           hard_edges=True)
+                           1.0, GGMT_P_MAX, 1e-9, hard_edges=True)
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +203,22 @@ def upper_calogero_I_at(pot: Potential, ell: int, a: float,
     ell = AngularMomentum(ell).ell
     if not a > 0:
         raise DomainError("matching radius a must be positive")
+    unit, x = pot.unit, a / pot.scale
     k = 2 * ell + 1
 
     def inner(r):
-        return r * pot.evaluate(r) * (r / a) ** k
+        return r * unit.evaluate(r) * (r / x) ** k
 
     def outer(r):
-        return r * pot.evaluate(r) * (a / r) ** k
+        return r * unit.evaluate(r) * (x / r) ** k
 
-    rcfg, cut, points = _rel_cfg(cfg), pot.cutoff, pot.breakpoints()
-    total = integrate(inner, 0.0, a if cut is None else min(a, cut), rcfg,
+    rcfg, cut, points = _rel_cfg(cfg), unit.cutoff, unit.breakpoints()
+    total = integrate(inner, 0.0, x if cut is None else min(x, cut), rcfg,
                       points=points).value
     if cut is None:
-        total += integrate_semi_infinite(outer, a, rcfg, points=points).value
-    elif a < cut:
-        total += integrate(outer, a, cut, rcfg, points=points).value
+        total += integrate_semi_infinite(outer, x, rcfg, points=points).value
+    elif x < cut:
+        total += integrate(outer, x, cut, rcfg, points=points).value
     total = _positive(total, "matching-radius functional")
     return BoundResult(Method.CALOGERO_I, Side.UPPER, k / total, ell,
                        optimal_param=a)
@@ -228,9 +227,10 @@ def upper_calogero_I_at(pot: Potential, ell: int, a: float,
 def upper_calogero_I(pot: Potential, ell: int,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Best matching radius for the first sufficient condition."""
-    ell = AngularMomentum(ell).ell
-    return _optimize_bound(lambda a, c: upper_calogero_I_at(pot, ell, a, c), cfg,
-                           1e-2, 1e2, 1e-9, (AccuracyError,))
+    unit, ell = pot.unit, AngularMomentum(ell).ell
+    best = _optimize_bound(lambda a, c: upper_calogero_I_at(unit, ell, a, c), cfg,
+                           1e-2, 1e2, 1e-9)
+    return replace(best, optimal_param=best.optimal_param * pot.scale)
 
 
 def _calogero_II_factors(pot: Potential, ell: int, a: float, r):
@@ -327,27 +327,28 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     ell = AngularMomentum(ell).ell
     if not a > 0:
         raise DomainError("matching radius a must be positive")
+    unit, x = pot.unit, a / pot.scale
     g_lo, g_hi = G_SEARCH_RANGE
     g0 = min(max(g_trial, g_lo), g_hi)
-    rule = FixedRule(_calogero_II_integrand(pot, ell, a, g0), _rel_cfg(cfg),
-                     **_nested_kwargs(pot))
+    rule = FixedRule(_calogero_II_integrand(unit, ell, x, g0), _rel_cfg(cfg),
+                     **unit.support)
     # the rule's own pass is the adaptive value at g0, so both searches
     # reuse it there
-    f0 = a * rule.total - 1.0
+    f0 = x * rule.total - 1.0
 
     def excess(g):
         if g == g0:
             return f0
-        return _calogero_II_lhs(pot, ell, a, g, cfg) - 1.0
+        return _calogero_II_lhs(unit, ell, x, g, cfg) - 1.0
 
-    v, t = _calogero_II_factors(pot, ell, a, rule.nodes)
+    v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
     g_last, f_last = g0, f0
 
     def frozen_excess(g):
         nonlocal g_last, f_last
         if g == g0:
             return f0
-        f = a * rule.integral(_calogero_II_terms(v, t, a, g)) - 1.0
+        f = x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
         if not math.isfinite(f):
             raise _RuleRejected
         g_last, f_last = g, f
@@ -372,18 +373,18 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
 def upper_calogero_II(pot: Potential, ell: int,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Best matching radius for the nonlinear sufficient condition."""
-    ell = AngularMomentum(ell).ell
+    unit, ell = pot.unit, AngularMomentum(ell).ell
     warm = 1.0
 
     def at(a, c):
         # each root search starts from the last threshold found
         nonlocal warm
-        res = upper_calogero_II_at(pot, ell, a, warm, c)
+        res = upper_calogero_II_at(unit, ell, a, warm, c)
         warm = res.value
         return res
 
-    return _optimize_bound(at, cfg, 1e-2, 1e2, 1e-8,
-                           (AccuracyError, SearchRangeError))
+    best = _optimize_bound(at, cfg, 1e-2, 1e2, 1e-8)
+    return replace(best, optimal_param=best.optimal_param * pot.scale)
 
 
 def _trial_weight(pot: Potential, q: float):
@@ -399,7 +400,7 @@ def _trial_weight(pot: Potential, q: float):
         v = pot.evaluate(x)
         out = np.zeros_like(v)
         m = v > 0
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             out[m] = np.exp(q * np.log(x[m]) + ex * np.log(v[m]))
         return out
 
@@ -413,7 +414,7 @@ def upper_variational_at(pot: Potential, ell: int, p: float,
     value = L * int F(2p-1) / [ int F(p;x) x^-L int_0^x F(p;y) y^L dy dx ]
     with F(q;x) = x^q v(x)^((q+1)/2) and L = l + 1/2.
     """
-    ell = AngularMomentum(ell).ell
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     if not p > 0:
         raise DomainError("trial power p must be positive")
     L = ell + 0.5
@@ -423,7 +424,7 @@ def upper_variational_at(pot: Potential, ell: int, p: float,
     kernel_form = nested_double(
         lambda x: fp(x) * x ** (-L),
         lambda y: fp(y) * y ** L,
-        _rel_cfg(cfg), **_nested_kwargs(pot))
+        _rel_cfg(cfg), **pot.support)
     kernel_form = _positive(kernel_form, "trial kernel form")
     return BoundResult(Method.VARIATIONAL, Side.UPPER, L * norm / kernel_form,
                        ell, optimal_param=p)
@@ -432,13 +433,12 @@ def upper_variational_at(pot: Potential, ell: int, p: float,
 def upper_variational(pot: Potential, ell: int,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
     """Variational upper limit minimized over the trial power p."""
-    ell = AngularMomentum(ell).ell
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     # at extreme p both integrals underflow and their ratio is meaningless;
     # no genuine upper limit can undercut this lower limit, so anything
     # below it is rejected as corrupted
     return _optimize_bound(
         lambda p, c: upper_variational_at(pot, ell, p, c), cfg, 1e-2, 1e2, 1e-9,
-        (AccuracyError, DegeneratePotentialError),
         floor=lambda c: 0.5 * lower_bargmann_schwinger(pot, ell, c).value)
 
 

@@ -26,7 +26,7 @@ from .bounds import METHODS, Method, Side, sandwich
 from .errors import (AccuracyError, ConfigurationError, DegeneratePotentialError,
                      DomainError, IntegrationError, InvariantViolation,
                      NoBoundStateError, SearchRangeError, TruncationError)
-from .potentials import Kind, Potential
+from .potentials import SHAPES, Kind, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .tables import reproduce_table
 
@@ -173,23 +173,14 @@ def build_potential(kind: str, R: float = 1.0, alpha: float | None = None,
         raise ConfigurationError(
             f"unknown potential kind {kind!r}; choose from "
             f"{', '.join(x.value for x in Kind)}") from None
-    if k is Kind.SQUARE_WELL:
-        return Potential.square_well(R)
-    if k is Kind.EXPONENTIAL:
-        return Potential.exponential(R)
-    if k is Kind.YUKAWA:
-        return Potential.yukawa(R)
-    if k is Kind.STIS:
-        if alpha is None:
-            raise ConfigurationError("field alpha is required for kind stis")
-        return Potential.stis(alpha=alpha, R=R)
-    if k is Kind.SHELL:
-        if shell_width is None:
-            raise ConfigurationError("field shell_width is required for kind shell")
-        return Potential.shell(width=shell_width, R=R)
-    if grid_csv is None:
-        raise ConfigurationError("field grid_csv is required for kind tabulated")
-    return Potential.tabulated(load_grid_csv(grid_csv))
+    # the one parameter the kind takes, if any; the others are ignored
+    param = SHAPES[k].param if k in SHAPES else "grid_csv"
+    value = {"alpha": alpha, "shell_width": shell_width, "grid_csv": grid_csv}.get(param)
+    if param is not None and value is None:
+        raise ConfigurationError(f"field {param} is required for kind {k.value}")
+    if k in SHAPES:
+        return Potential(k, R=R, **({param: float(value)} if param else {}))
+    return Potential.tabulated(load_grid_csv(value))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -301,17 +292,15 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK if artifact.passed else EXIT_INVARIANT
 
 
-_CHECK_BUILTINS = ("square_well", "exponential", "yukawa", "stis")
-
-
 def _cmd_check(args) -> int:
     if args.config or args.potential:
         config = _merge_run_config(args)
         potentials = [config.potential]
         ells = config.ells
     else:
-        potentials = [build_potential(k, alpha=1.0 if k == "stis" else None)
-                      for k in _CHECK_BUILTINS]
+        # every analytic kind, at its parameter's default; one without a default sits out
+        potentials = [Potential(k, **({s.param: s.default} if s.param else {}))
+                      for k, s in SHAPES.items() if s.param is None or s.default]
         ells = tuple(args.ell) if args.ell else (0, 1, 2)
     failures = 0
 

@@ -62,8 +62,7 @@ class ShootingState:
 
 def _segment_radii(pot: Potential, max_radius: float) -> list[float]:
     """Integration segments: [r0, interior breakpoints..., R_match]."""
-    r0_scale = 1e-8 if pot.kind.value == "yukawa" else 1e-6
-    r0 = r0_scale * pot.R
+    r0 = pot.start_radius
     r_sup = pot.support_radius(_TAIL_TOL, max_radius)
     r_match = r_sup * (1.0 if pot.is_compact else 1.5)
     pts = [r0]
@@ -89,7 +88,7 @@ def shoot_zero_energy(pot: Potential, ell: int, g: float,
     and L = l + 1/2; the log grid resolves both the centrifugal region and
     wide supports with uniform cost.
     """
-    w, dw, _, _ = _integrate_log_radial(pot, ell, g, cfg, log_step)
+    w, dw, _, _ = _integrate_log_radial(pot.unit, ell, g, cfg, log_step)
     L = AngularMomentum(ell).L
     # u = e^{s/2} w gives r u' + l u = e^{s/2}(w' + L w); dividing by the
     # growing mode leaves A up to a positive factor, normalized here by the
@@ -105,9 +104,10 @@ def zero_energy_state(pot: Potential, ell: int, g: float,
     The solution is normalized to unit scale (the radial equation is
     linear), with u ~ r^(l+1) near the origin.
     """
-    w, dw, s_end, _ = _integrate_log_radial(pot, ell, g, cfg, log_step)
+    w, dw, s_end, _ = _integrate_log_radial(pot.unit, ell, g, cfg, log_step)
     scale = max(abs(w), abs(dw), 1e-300)
     w, dw = w / scale, dw / scale
+    s_end += math.log(pot.scale)   # back to the radii of pot
     half = math.exp(0.5 * s_end)
     return ShootingState(r=math.exp(s_end), u=half * w,
                          du=(dw + 0.5 * w) / half)
@@ -172,6 +172,7 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     bracket holds the first threshold; if not, the scan is repeated with a
     finer step.
     """
+    pot = pot.unit
     if g_start is None:
         moment = pot.support_integral(lambda r: r * pot.evaluate(r), cfg)
         if not moment > 0:
@@ -235,7 +236,7 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
     needed for the eigenvalue to converge fast enough to cross-check the
     shooting solver at moderate n.
     """
-    ell = AngularMomentum(ell).ell
+    pot, ell, length = pot.unit, AngularMomentum(ell).ell, pot.scale
     if n < 8:
         raise DomainError("kernel discretization requires n >= 8")
     r_eff = pot.support_radius(1e-13, cfg.max_radius)
@@ -266,7 +267,7 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
     diag = np.diag_indices(n)
     corrected = matrix[diag] - (h * h / 12.0) * xp * xp * v
     matrix[diag] = np.maximum(corrected, 0.0)
-    return KernelDiscretization(nodes=x, weights=w, matrix=matrix)
+    return KernelDiscretization(nodes=x * length, weights=w * length, matrix=matrix)
 
 
 def largest_eigenvalue(matrix: np.ndarray, tol: float = 1e-12,

@@ -1,17 +1,18 @@
 """Radial shape functions v(r) for attractive potentials V(r) = -g v(r).
 
 The built-in catalog covers a square well, an exponential, a Yukawa and a
-shifted truncated inverse-square (STIS) well, all normalized so the critical
-strength is independent of the radius parameter R.  A narrow-shell shape
-approximates a delta ring, and tabulated shapes interpolate user grids.
+shifted truncated inverse-square (STIS) well, each held once in `SHAPES` at
+unit radius, so the critical strength is independent of the radius R.  A
+narrow-shell shape approximates a delta ring, and tabulated shapes
+interpolate user grids, taken in their own units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +29,36 @@ class Kind(str, Enum):
     TABULATED = "tabulated"
 
 
-_COMPACT = {Kind.SQUARE_WELL, Kind.STIS, Kind.SHELL, Kind.TABULATED}
+@dataclass(frozen=True)
+class Shape:
+    """One analytic kind: v(x, q) at unit radius, so that at radius R the
+    shape is v(r/R, q) / R^2 and its critical coupling does not depend on R."""
+
+    v: Callable
+    end: Callable | None = None       # support end(q); None: v decays
+    breaks: tuple[float, ...] = ()    # interior breakpoints, sorted
+    param: str | None = None          # the Potential field that sets q,
+    per_radius: bool = False          # divided by R when set
+    label: str | None = None          # label format of the field's value
+    default: float | None = None      # its value in `gcrit check`'s default run
+    start: float = 1e-6               # shooting start radius, in units of R
+
+
+#: every analytic kind; a tabulated grid is taken in its own units
+SHAPES = {
+    Kind.SQUARE_WELL: Shape(lambda x, q: np.where(x <= 1.0, 1.0, 0.0),
+                            end=lambda q: 1.0),
+    Kind.EXPONENTIAL: Shape(lambda x, q: np.exp(-x)),
+    # the 1/x singularity needs an earlier start than the default
+    Kind.YUKAWA: Shape(lambda x, q: np.exp(-x) / x, start=1e-8),
+    Kind.STIS: Shape(lambda x, q: np.where(x <= q, (1.0 + x) ** -2.0, 0.0),
+                     end=lambda q: q, param="alpha", label="stis(alpha={:g})",
+                     default=1.0),
+    Kind.SHELL: Shape(lambda x, q: np.where((x >= 1.0) & (x <= 1.0 + q), 1.0 / q, 0.0),
+                      end=lambda q: 1.0 + q, breaks=(1.0,),
+                      param="shell_width", per_radius=True,
+                      label="shell(width={:g})"),
+}
 
 
 @dataclass(frozen=True)
@@ -66,7 +96,7 @@ class Potential:
     """A nonnegative radial shape v(r), immutable after construction.
 
     Use the classmethod constructors; the generic fields exist so a shape is
-    fully described by (kind, parameters).
+    fully described by (kind, parameters).  The numerics work on `unit`.
     """
 
     kind: Kind
@@ -78,16 +108,18 @@ class Potential:
     def __post_init__(self):
         if not (isinstance(self.R, (int, float)) and math.isfinite(self.R) and self.R > 0):
             raise ConfigurationError(f"R must be a positive finite length, got {self.R!r}")
-        if self.kind is Kind.STIS:
-            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha > 0):
-                raise ConfigurationError("stis requires a positive cutoff multiplier alpha")
-        elif self.alpha is not None:
-            raise ConfigurationError(f"alpha is only meaningful for stis, not {self.kind.value}")
-        if self.kind is Kind.SHELL:
-            if self.shell_width is None or not (math.isfinite(self.shell_width) and self.shell_width > 0):
-                raise ConfigurationError("shell requires a positive shell_width")
-        elif self.shell_width is not None:
-            raise ConfigurationError("shell_width is only meaningful for shell")
+        spec = self._spec
+        for kind, s in SHAPES.items():
+            if s is not spec and s.param and getattr(self, s.param) is not None:
+                raise ConfigurationError(
+                    f"{s.param} is only meaningful for {kind.value}, not {self.kind.value}")
+        value = getattr(self, spec.param) if spec and spec.param else None
+        q = value / self.R if value is not None and spec.per_radius else value
+        if spec and spec.param and not (q is not None and math.isfinite(q) and q > 0):
+            raise ConfigurationError(
+                f"{self.kind.value} requires a positive {spec.param}, got {value!r}")
+        # the parameter at unit radius; a plain attribute, so eq and hash ignore it
+        object.__setattr__(self, "_q", q)
         if self.kind is Kind.TABULATED:
             if not self.grid:
                 raise ConfigurationError("tabulated potential requires a nonempty grid")
@@ -99,7 +131,6 @@ class Potential:
                 raise ConfigurationError("grid radii must be positive and strictly increasing")
             if np.any(values < 0):
                 raise ConfigurationError("grid values must be nonnegative")
-            # kept for _shape; plain attributes, so eq and hash see only grid
             radii.flags.writeable = False
             values.flags.writeable = False
             object.__setattr__(self, "_radii", radii)
@@ -143,7 +174,8 @@ class Potential:
         """Linear interpolation of (radius, value) samples.
 
         Below the first radius the first value is held constant; beyond the
-        last radius the shape is zero.  R is set to the last radius.
+        last radius the shape is zero.  The grid keeps its own units: R is
+        the last radius, and it sets only the shooting start radius.
         """
         pts = tuple((float(r), float(v)) for r, v in points)
         if not pts:
@@ -153,33 +185,54 @@ class Potential:
     # -- geometry -----------------------------------------------------------
 
     @property
+    def _spec(self) -> Shape | None:
+        return SHAPES.get(self.kind)   # None for a tabulated grid
+
+    @property
+    def unit(self) -> "Potential":
+        """The shape the numerics work on, in units of `scale`: an analytic
+        kind at R = 1 (itself when R is 1), a tabulated grid unchanged."""
+        if self.R == 1.0 or self._spec is None:
+            return self
+        param = self._spec.param
+        return replace(self, R=1.0, **({param: self._q} if param else {}))
+
+    @property
+    def scale(self) -> float:
+        """The length unit of `unit`: R for an analytic kind, 1 for a grid."""
+        return 1.0 if self._spec is None else self.R
+
+    @property
     def is_compact(self) -> bool:
-        return self.kind in _COMPACT
+        return self.cutoff is not None
 
     @property
     def cutoff(self) -> float | None:
         """End of the support for compact shapes, None for decaying ones."""
-        if self.kind is Kind.SQUARE_WELL:
-            return self.R
-        if self.kind is Kind.STIS:
-            return self.alpha * self.R
-        if self.kind is Kind.SHELL:
-            return self.R + self.shell_width
-        if self.kind is Kind.TABULATED:
+        spec = self._spec
+        if spec is None:
             return self.grid[-1][0]
-        return None
+        return None if spec.end is None else spec.end(self._q) * self.R
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior radii where v jumps or kinks (support ends excluded)."""
-        if self.kind is Kind.SHELL:
-            return (self.R,)
-        if self.kind is Kind.TABULATED:
+        if self._spec is None:
             return tuple(r for r, _ in self.grid[:-1])
-        return ()
+        return tuple(b * self.R for b in self._spec.breaks)
+
+    @property
+    def start_radius(self) -> float:
+        """Where shooting starts: `Shape.start` times R (a grid's last radius)."""
+        return (self._spec or Shape).start * self.R
+
+    @property
+    def support(self) -> dict:
+        """The support as quadrature's axis keywords: (0, cutoff), or (0, inf)
+        for a decaying shape, with panel edges seeded at the breakpoints."""
+        return {"upper": self.cutoff, "points": self.breakpoints()}
 
     def support_integral(self, f, cfg: QuadratureConfig) -> float:
-        """Integral of f over the support: (0, cutoff), or (0, inf) for a
-        decaying shape, with panel edges seeded at the breakpoints."""
+        """Integral of f over the `support` axis."""
         if self.is_compact:
             return integrate(f, 0.0, self.cutoff, cfg, points=self.breakpoints()).value
         return integrate_semi_infinite(f, 0.0, cfg, points=self.breakpoints()).value
@@ -187,20 +240,13 @@ class Potential:
     # -- evaluation ---------------------------------------------------------
 
     def _shape(self, r: np.ndarray) -> np.ndarray:
-        if self.kind is Kind.SQUARE_WELL:
-            return np.where(r <= self.R, self.R ** -2, 0.0)
-        if self.kind is Kind.EXPONENTIAL:
-            return np.exp(-r / self.R) / self.R ** 2
-        if self.kind is Kind.YUKAWA:
-            return np.exp(-r / self.R) / (r * self.R)
-        if self.kind is Kind.STIS:
-            return np.where(r <= self.alpha * self.R, (self.R + r) ** -2.0, 0.0)
-        if self.kind is Kind.SHELL:
-            w = self.shell_width
-            inside = (r >= self.R) & (r <= self.R + w)
-            return np.where(inside, 1.0 / (w * self.R), 0.0)
-        return np.interp(r, self._radii, self._values, left=self._values[0],
-                         right=0.0)
+        spec = self._spec
+        if spec is None:
+            return np.interp(r, self._radii, self._values, left=self._values[0],
+                             right=0.0)
+        if self.R == 1.0:   # the numerics' case: skip two array passes
+            return spec.v(r, self._q)
+        return spec.v(r / self.R, self._q) / self.R ** 2
 
     def evaluate(self, r):
         """v(r) for a positive radius or an array of positive radii."""
@@ -270,8 +316,6 @@ class Potential:
                                 tuple(s_origin), tuple(s_tail))
 
     def label(self) -> str:
-        if self.kind is Kind.STIS:
-            return f"stis(alpha={self.alpha:g})"
-        if self.kind is Kind.SHELL:
-            return f"shell(width={self.shell_width:g})"
-        return self.kind.value
+        if self._spec is None or self._spec.label is None:
+            return self.kind.value
+        return self._spec.label.format(getattr(self, self._spec.param))

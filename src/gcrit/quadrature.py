@@ -189,11 +189,6 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
     return IntegralResult(value, error, evals)
 
 
-def _to_unit(x, a):
-    x = np.asarray(x, dtype=float)
-    return (x - a) / (1.0 + (x - a))
-
-
 def _transformed(f, a):
     def g(t):
         t = np.asarray(t, dtype=float)
@@ -209,8 +204,8 @@ def integrate_semi_infinite(f, a, cfg: QuadratureConfig = DEFAULT_CONFIG,
     a = float(a)
     if not math.isfinite(a):
         raise DomainError("lower endpoint must be finite")
-    tpoints = [float(_to_unit(p, a)) for p in points if p > a]
-    return integrate(_transformed(f, a), 0.0, 1.0, cfg, points=tpoints)
+    lo, hi, wrap, seeds = _axis(None, points, a)
+    return integrate(wrap(f), lo, hi, cfg, points=seeds)
 
 
 class CumulativeIntegral:
@@ -258,9 +253,8 @@ class CumulativeIntegral:
 class FixedRule:
     """The final panel partition of one adaptive pass, kept as a fixed rule.
 
-    Integrates w adaptively over (0, upper), or over (0, inf) through the
-    semi-infinite map when upper is None, exactly as `integrate` and
-    `integrate_semi_infinite` do; `total` is the value of that pass.
+    Integrates w adaptively on the axis `_axis(upper, points)`, exactly as
+    `integrate` and `integrate_semi_infinite` do; `total` is that value.
     `nodes` (in the original variable) and `weights` (panel half-widths
     times Kronrod weights, times the Jacobian of the map on a semi-infinite
     axis) then integrate any integrand close enough to w as
@@ -268,8 +262,8 @@ class FixedRule:
     """
 
     def __init__(self, w, cfg=DEFAULT_CONFIG, upper=None, points=()):
-        lo, hi, wrap, mapper = _axis(upper)
-        panels, self.total, _, _ = _adaptive(wrap(w), lo, hi, cfg, mapper(points))
+        lo, hi, wrap, seeds = _axis(upper, points)
+        panels, self.total, _, _ = _adaptive(wrap(w), lo, hi, cfg, seeds)
         lefts = np.array([p[0] for p in panels])
         rights = np.array([p[1] for p in panels])
         # the abscissae _panel evaluated on each final panel
@@ -291,66 +285,43 @@ class FixedRule:
         return float(np.dot(values, self.weights))
 
 
-def _axis(upper):
-    """Return (lo, hi, wrap, seed-mapper) for the integration axis."""
+def _axis(upper, points, a=0.0):
+    """(lo, hi, wrap, seeds) for the axis (a, upper), or for (a, inf) mapped
+    onto (0, 1) by x = a + t/(1-t) when upper is None: wrap(f) is the
+    integrand on (lo, hi), and seeds are the points inside it, mapped."""
     if upper is None:
-        def wrap(w):
-            return _transformed(w, 0.0)
-
-        def mapper(points):
-            return [float(_to_unit(p, 0.0)) for p in points if p > 0.0]
-
-        return 0.0, 1.0, wrap, mapper
-
+        return (0.0, 1.0, lambda w: _transformed(w, a),
+                [(p - a) / (1.0 + (p - a)) for p in points if p > a])
     upper = float(upper)
-    if not upper > 0:
-        raise DomainError("upper limit must be positive")
-
-    def wrap(w):
-        return w
-
-    def mapper(points):
-        return [p for p in points if 0.0 < p < upper]
-
-    return 0.0, upper, wrap, mapper
+    if not upper > a:
+        raise DomainError(f"upper limit must exceed {a!r}")
+    return a, upper, lambda w: w, [p for p in points if a < p < upper]
 
 
 def nested_double(w_out, w_in, cfg: QuadratureConfig = DEFAULT_CONFIG,
                   upper: float | None = None,
                   points: Sequence[float] = ()) -> float:
-    """Compute integral over x of w_out(x) * integral of w_in over (0, x).
-
-    With upper=None both integrals run to infinity through the semi-infinite
-    transform; a finite `upper` truncates the outer domain exactly (used for
-    compact-support weights).
-    """
-    lo, hi, wrap, mapper = _axis(upper)
-    seeds = mapper(points)
-    inner = CumulativeIntegral(wrap(w_in), lo, hi, cfg, points=seeds)
-    wo = wrap(w_out)
-
-    def outer(t):
-        return wo(t) * inner(t)
-
-    return integrate(outer, lo, hi, cfg, points=seeds).value
+    """Compute integral over x of w_out(x) * integral of w_in over (0, x),
+    both on the axis (0, upper), or (0, inf) when upper is None (`_axis`)."""
+    return _nested((w_out, w_in), cfg, upper, points)
 
 
 def nested_triple(w1, w2, w3, cfg: QuadratureConfig = DEFAULT_CONFIG,
                   upper: float | None = None,
                   points: Sequence[float] = ()) -> float:
     """Triply nested analogue of nested_double (ordered 0 < z < y < x)."""
-    lo, hi, wrap, mapper = _axis(upper)
-    seeds = mapper(points)
-    inner3 = CumulativeIntegral(wrap(w3), lo, hi, cfg, points=seeds)
-    w2w = wrap(w2)
+    return _nested((w1, w2, w3), cfg, upper, points)
 
-    def level2(t):
-        return w2w(t) * inner3(t)
 
-    inner2 = CumulativeIntegral(level2, lo, hi, cfg, points=seeds)
-    w1w = wrap(w1)
+def _nested(weights, cfg, upper, points) -> float:
+    """Integral of weights[0] times the cumulative integral of weights[1]
+    times that of weights[2]..., each inner one a `CumulativeIntegral`."""
+    lo, hi, wrap, seeds = _axis(upper, points)
+    inner = CumulativeIntegral(wrap(weights[-1]), lo, hi, cfg, points=seeds)
+    for w in weights[-2:0:-1]:
+        inner = CumulativeIntegral(_product(wrap(w), inner), lo, hi, cfg, points=seeds)
+    return integrate(_product(wrap(weights[0]), inner), lo, hi, cfg, points=seeds).value
 
-    def outer(t):
-        return w1w(t) * inner2(t)
 
-    return integrate(outer, lo, hi, cfg, points=seeds).value
+def _product(w, inner):
+    return lambda t: w(t) * inner(t)

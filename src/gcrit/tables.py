@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .bounds import METHODS, Method
 from .errors import ConfigurationError
-from .potentials import Potential
+from .potentials import Kind, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 G_COLUMN_TOL = 2e-4   # printed precision is 5 significant digits
@@ -72,11 +72,13 @@ _TABLE_4 = {
     50.0: (0.33882, 0.58085, 0.56233, 0.58684, 0.59085, 0.74673, 0.59855, 1.7633),
 }
 
+#: per table: title, row label (l, or the shape's parameter at l = 0), data,
+#: whether it has the p column, and the shape kind
 _SPECS = {
-    1: ("square well", "ell", _TABLE_1, False),
-    2: ("exponential", "ell", _TABLE_2, True),
-    3: ("yukawa", "ell", _TABLE_3, True),
-    4: ("stis (ell=0)", "alpha", _TABLE_4, True),
+    1: ("square well", "ell", _TABLE_1, False, Kind.SQUARE_WELL),
+    2: ("exponential", "ell", _TABLE_2, True, Kind.EXPONENTIAL),
+    3: ("yukawa", "ell", _TABLE_3, True, Kind.YUKAWA),
+    4: ("stis (ell=0)", "alpha", _TABLE_4, True, Kind.STIS),
 }
 
 
@@ -172,23 +174,15 @@ class TableArtifact:
         return "\n".join(lines) + "\n"
 
 
-def _row_potential(table_id: int, label: float) -> tuple[Potential, int]:
-    if table_id == 1:
-        return Potential.square_well(), int(label)
-    if table_id == 2:
-        return Potential.exponential(), int(label)
-    if table_id == 3:
-        return Potential.yukawa(), int(label)
-    return Potential.stis(alpha=label), 0
-
-
 def compute_table_row(table_id: int, label: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, ...]:
     """One freshly computed row in the printed column order."""
-    pot, ell = _row_potential(table_id, label)
+    _, row_label, _, has_p, kind = _SPECS[table_id]
+    pot, ell = ((Potential(kind), int(label)) if row_label == "ell"
+                else (Potential(kind, **{row_label: float(label)}), 0))
     results = {m: METHODS[m].compute(pot, ell, cfg) for m in _G_COLUMNS.values()}
     row = tuple(r.value for r in results.values())
-    if _SPECS[table_id][3]:
+    if has_p:
         row += (results[Method.VARIATIONAL].optimal_param,)
     return row
 
@@ -198,7 +192,7 @@ def reproduce_table(table_id: int,
     """Recompute one table and compare every cell against the printed value."""
     if table_id not in _SPECS:
         raise ConfigurationError(f"table id must be 1..4, got {table_id!r}")
-    title, row_label, data, has_p = _SPECS[table_id]
+    title, row_label, data, has_p, _ = _SPECS[table_id]
     columns = tuple(_G_COLUMNS) + (("p",) if has_p else ())
     tolerances = (G_COLUMN_TOL,) * len(_G_COLUMNS) + ((P_COLUMN_TOL,) if has_p else ())
     labels = tuple(data.keys())

@@ -1,20 +1,26 @@
 """Tier-1 guard on the benchmark's golden baseline.
 
 `perfbench/golden.json` records every output of the benchmark items at the
-commit that defined it.  Recomputing three table rows here makes a numerical
+commit that defined it.  Recomputing three table rows, one sandwich on a
+tabulated grid and the shooting solves of two shapes here makes a numerical
 drift beyond 1e-12 relative fail the test suite, not only the benchmark.
 The file is only read.
 """
 
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
+from gcrit.exact import critical_coupling_shooting
+from gcrit.potentials import Potential
 from gcrit.tables import compute_table_row
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = BENCH / "golden.json"
 RTOL = 1e-12
 #: the printed column order of a table row; table 1 has no p column
 COLUMNS = ("g_BS", "g_B", "g_GGMT", "g_c", "g_New", "g_C1", "g_C2", "p")
@@ -37,3 +43,32 @@ def test_table_row_matches_golden(golden, table_id, label):
     for column, ref in want.items():
         assert math.isclose(got[column], ref, rel_tol=RTOL, abs_tol=0.0), \
             (column, got[column], ref)
+
+
+def _close(got: dict, want: dict):
+    assert set(got) == set(want)
+    for key, ref in want.items():
+        if isinstance(ref, bool):
+            assert got[key] is ref, key
+        else:
+            assert math.isclose(got[key], ref, rel_tol=RTOL, abs_tol=0.0), \
+                (key, got[key], ref)
+
+
+def test_sweep_item_matches_golden(golden, monkeypatch):
+    # a tabulated grid, which the numerics take in its own units; the item
+    # is built by the benchmark's own generator, so its grid is the golden one
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    item = workloads.sweep_item(16, 0, 1)
+    _close(item.call(), golden[item.key]["out"])
+
+
+@pytest.mark.parametrize("name, pot", [("yukawa", Potential.yukawa()),
+                                       ("shell", Potential.shell(width=0.1))])
+def test_shooting_matches_golden(golden, name, pot):
+    for ell in range(6):
+        want = golden[f"solvers/{name}/{ell}/shooting"]["out"]
+        _close({"g": critical_coupling_shooting(pot, ell)}, want)

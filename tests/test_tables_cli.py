@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -211,6 +212,21 @@ def test_cli_overflowing_grid_is_a_numerical_error(tmp_path, capsys, verb):
     err = capsys.readouterr().err
     assert "numerical error:" in err
     assert "Traceback" not in err
+
+
+def test_cli_overflowing_search_trial_is_rejected(capsys):
+    # v = 1e9 on this shell, so the power-family integrand (r^2 v)^p and the
+    # trial weight v^p overflow once p exceeds about 34; such a trial must
+    # score as rejected instead of aborting the whole search
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["compute", "--potential", "shell", "--shell-width", "1e-9",
+                     "--methods", "ggmt", "variational", "shooting", "--records"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    value = {row[1]: float(row[2]) for row in
+             (line.split(",") for line in captured.out.splitlines()[1:])}
+    assert value["ggmt"] <= value["shooting"] <= value["variational"]
 
 
 def test_build_potential_dispatch():
