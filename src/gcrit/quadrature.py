@@ -1,7 +1,10 @@
 """Adaptive one-dimensional quadrature and nested cumulative integrals.
 
 The base rule is the 15-point Gauss-Kronrod pair; panels are refined by
-bisection, worst error first.  All evaluation nodes are strictly interior,
+bisection, worst error first.  Each refinement step calls the integrand once,
+on the nodes of all the panels it evaluates (every initial panel, then both
+halves of a split), so integrands must be pointwise: a value may not depend
+on the other nodes of the call.  All evaluation nodes are strictly interior,
 so integrable endpoint singularities milder than 1/x and indicator-style
 integrands need no special casing.  Semi-infinite integrals map [a, inf)
 onto [0, 1) with x = a + t/(1-t), which preserves polynomial-times-
@@ -63,8 +66,8 @@ class QuadratureConfig:
     max_radius: float = 1e4
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ConfigurationError("rel_tol and abs_tol must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ConfigurationError("rel_tol and abs_tol must be positive and finite")
         if self.max_subdivisions < 1:
             raise ConfigurationError("max_subdivisions must be >= 1")
         if not self.max_radius > 0:
@@ -90,27 +93,38 @@ class IntegralResult:
     evaluations: int
 
 
-def _panel(f, a, b):
-    """Gauss-Kronrod 15(7) estimate of one panel with a QUADPACK-style error."""
-    half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    x = center + half * _NODES
+def _panels(f, spans):
+    """Gauss-Kronrod 15(7) estimates (value, error) of the panels `spans`,
+    each with a QUADPACK-style error, from one call of f on all their nodes.
+
+    The arithmetic of each panel is that of a panel evaluated on its own, so
+    the estimates do not depend on which panels share the call.
+    """
+    halves = [0.5 * (b - a) for a, b in spans]
+    centers = [0.5 * (a + b) for a, b in spans]
+    x = (np.array(centers)[:, None] + np.array(halves)[:, None] * _NODES).ravel()
     fv = np.asarray(f(x), dtype=float)
-    if fv.shape != (15,):
-        fv = np.broadcast_to(fv, (15,)).astype(float)
-    if not np.all(np.isfinite(fv)):
+    if fv.shape != x.shape:
+        fv = np.broadcast_to(fv, x.shape).astype(float)
+    fv = fv.reshape(len(spans), 15)
+    finite = np.isfinite(fv).all(axis=1)
+    if not finite.all():
+        a, b = spans[int(np.argmin(finite))]
         raise IntegrationError(
             f"integrand returned a non-finite value in [{a!r}, {b!r}]")
-    resk = half * float(_WK @ fv)
-    resg = half * float(_WG @ fv)
-    resabs = half * float(_WK @ np.abs(fv))
-    mean = resk / (b - a)
-    resasc = half * float(_WK @ np.abs(fv - mean))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
+    out = []
+    for (a, b), half, row in zip(spans, halves, fv):
+        resk = half * float(_WK @ row)
+        resg = half * float(_WG @ row)
+        resabs = half * float(_WK @ np.abs(row))
+        mean = resk / (b - a)
+        resasc = half * float(_WK @ np.abs(row - mean))
+        err = abs(resk - resg)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        err = max(err, 50.0 * _EPS * resabs)
+        out.append((resk, err))
+    return out
 
 
 def _initial_edges(a, b, points):
@@ -134,8 +148,8 @@ def _adaptive(f, a, b, cfg, points=()):
     evals = 0
     total = 0.0
     toterr = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
+    spans = list(zip(edges[:-1], edges[1:]))
+    for (lo, hi), (val, err) in zip(spans, _panels(f, spans)):
         evals += 15
         heapq.heappush(heap, (-err, count, lo, hi, val))
         count += 1
@@ -158,8 +172,8 @@ def _adaptive(f, a, b, cfg, points=()):
             continue
         total -= val
         toterr += neg_err
-        for (p, q) in ((lo, mid), (mid, hi)):
-            v, e = _panel(f, p, q)
+        children = ((lo, mid), (mid, hi))
+        for (p, q), (v, e) in zip(children, _panels(f, children)):
             evals += 15
             heapq.heappush(heap, (-e, count, p, q, v))
             count += 1
@@ -177,8 +191,9 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
               points: Sequence[float] = ()) -> IntegralResult:
     """Integrate f over the finite interval (a, b).
 
-    f must accept numpy arrays.  Nodes never touch a or b.  `points` seeds
-    panel edges at known breakpoints of the integrand.
+    f must accept numpy arrays and be pointwise: it is called once per
+    refinement step, on the nodes of several panels.  Nodes never touch a or
+    b.  `points` seeds panel edges at known breakpoints of the integrand.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -229,7 +244,13 @@ class CumulativeIntegral:
         prefix = np.concatenate([[0.0], np.cumsum([p[2] for p in panels])])
         self._prefix = prefix
 
-    def __call__(self, x):
+    def __call__(self, x, *, runs=None):
+        """C at x.  `runs` splits a 1-d x into consecutive runs (their
+        lengths; default one run).  w is evaluated once on the partial panels
+        of all of x, and those of each run are summed in one matrix product:
+        the rounding of a row of a BLAS product can depend on its place in
+        the product, so a nested integral passes each of its panels' reads
+        as one run and gets the bits of one call per panel."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xs = np.atleast_1d(x)
@@ -245,9 +266,37 @@ class CumulativeIntegral:
             centers = starts[live] + 0.5 * widths[live]
             halves = 0.5 * widths[live]
             nodes = centers[:, None] + halves[:, None] * _NODES[None, :]
-            fv = np.asarray(self._w(nodes.ravel()), dtype=float).reshape(nodes.shape)
-            out[live] += halves * (fv @ _WK)
+            # the number of live reads in each run that has any
+            seen = np.concatenate([[0], np.cumsum(live)])[
+                np.cumsum([xs.size] if runs is None else runs)]
+            counts = [c for c in np.diff(seen, prepend=0) if c]
+            if isinstance(self._w, _Product):
+                fv = self._w(nodes.ravel(), runs=[15 * c for c in counts])
+            else:
+                fv = self._w(nodes.ravel())
+            fv = np.asarray(fv, dtype=float).reshape(nodes.shape)
+            out[live] += halves * np.concatenate(
+                [run @ _WK for run in np.split(fv, np.cumsum(counts)[:-1])])
         return float(out[0]) if scalar else out
+
+
+class _Product:
+    """The weight w(t) times the cumulative integral `inner` at t: the
+    integrand of one level of a nested integral.
+
+    The adaptive engine calls it on the nodes of several panels at once, and
+    `inner` reads each panel's 15 nodes as one run.  A `CumulativeIntegral`
+    whose weight this is passes the runs of its own reads on instead.
+    """
+
+    def __init__(self, w, inner):
+        self.w = w
+        self.inner = inner
+
+    def __call__(self, t, runs=None):
+        if runs is None:
+            runs = [15] * (t.size // 15)
+        return self.w(t) * self.inner(t, runs=runs)
 
 
 class FixedRule:
@@ -266,7 +315,7 @@ class FixedRule:
         panels, self.total, _, _ = _adaptive(wrap(w), lo, hi, cfg, seeds)
         lefts = np.array([p[0] for p in panels])
         rights = np.array([p[1] for p in panels])
-        # the abscissae _panel evaluated on each final panel
+        # the abscissae _panels evaluated on each final panel
         halves = 0.5 * (rights - lefts)
         centers = 0.5 * (lefts + rights)
         x = (centers[:, None] + halves[:, None] * _NODES[None, :]).ravel()
@@ -319,9 +368,5 @@ def _nested(weights, cfg, upper, points) -> float:
     lo, hi, wrap, seeds = _axis(upper, points)
     inner = CumulativeIntegral(wrap(weights[-1]), lo, hi, cfg, points=seeds)
     for w in weights[-2:0:-1]:
-        inner = CumulativeIntegral(_product(wrap(w), inner), lo, hi, cfg, points=seeds)
-    return integrate(_product(wrap(weights[0]), inner), lo, hi, cfg, points=seeds).value
-
-
-def _product(w, inner):
-    return lambda t: w(t) * inner(t)
+        inner = CumulativeIntegral(_Product(wrap(w), inner), lo, hi, cfg, points=seeds)
+    return integrate(_Product(wrap(weights[0]), inner), lo, hi, cfg, points=seeds).value

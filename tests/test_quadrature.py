@@ -1,16 +1,24 @@
+import heapq
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcrit.errors import AccuracyError, ConfigurationError, DomainError
+from gcrit import bounds, quadrature
+from gcrit.errors import (AccuracyError, ConfigurationError, DomainError,
+                          IntegrationError)
+from gcrit.potentials import Potential
 from gcrit.quadrature import (FixedRule, QuadratureConfig, integrate,
                               integrate_semi_infinite, nested_double,
                               nested_triple)
 
 CFG = QuadratureConfig()
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def close(a, b, rel=1e-10, abs_=1e-13):
@@ -174,3 +182,276 @@ def test_fixed_rule_reuses_the_adaptive_partition(upper):
         else:
             ref = integrate(family(c), 0.0, upper, CFG, points=points)
         assert close(rule.integral(family(c)(rule.nodes)), ref.value, rel=1e-9)
+
+
+def test_config_rejects_non_finite_tolerances():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            QuadratureConfig(rel_tol=bad)
+        with pytest.raises(ConfigurationError):
+            QuadratureConfig(abs_tol=bad)
+
+
+# ---------------------------------------------------------------------------
+# freeze, then verify: the batched engine against one integrand call per panel
+# ---------------------------------------------------------------------------
+
+def reference_panel(f, a, b):
+    """One Gauss-Kronrod 15(7) panel from its own integrand call."""
+    half = 0.5 * (b - a)
+    center = 0.5 * (a + b)
+    x = center + half * quadrature._NODES
+    fv = np.asarray(f(x), dtype=float)
+    if fv.shape != (15,):
+        fv = np.broadcast_to(fv, (15,)).astype(float)
+    if not np.all(np.isfinite(fv)):
+        raise IntegrationError(
+            f"integrand returned a non-finite value in [{a!r}, {b!r}]")
+    resk = half * float(quadrature._WK @ fv)
+    resg = half * float(quadrature._WG @ fv)
+    resabs = half * float(quadrature._WK @ np.abs(fv))
+    mean = resk / (b - a)
+    resasc = half * float(quadrature._WK @ np.abs(fv - mean))
+    err = abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    err = max(err, 50.0 * quadrature._EPS * resabs)
+    return resk, err
+
+
+def reference_adaptive(f, a, b, cfg, points=()):
+    """The adaptive engine with one integrand call per panel."""
+    edges = quadrature._initial_edges(a, b, points)
+    heap = []
+    frozen = []
+    count = 0
+    evals = 0
+    total = 0.0
+    toterr = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = reference_panel(f, lo, hi)
+        evals += 15
+        heapq.heappush(heap, (-err, count, lo, hi, val))
+        count += 1
+        total += val
+        toterr += err
+    while toterr > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if len(heap) + len(frozen) >= cfg.max_subdivisions:
+            raise AccuracyError(
+                f"quadrature budget of {cfg.max_subdivisions} panels exhausted "
+                f"(estimate {total!r}, error {toterr!r})",
+                best_estimate=total, error_estimate=toterr)
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            frozen.append((lo, hi, val, -neg_err))
+            if not heap:
+                break
+            continue
+        total -= val
+        toterr += neg_err
+        for (p, q) in ((lo, mid), (mid, hi)):
+            v, e = reference_panel(f, p, q)
+            evals += 15
+            heapq.heappush(heap, (-e, count, p, q, v))
+            count += 1
+            total += v
+            toterr += e
+    panels = [(lo, hi, val, -neg) for neg, _, lo, hi, val in heap]
+    panels += [(lo, hi, val, err) for lo, hi, val, err in frozen]
+    panels.sort()
+    value = sum(p[2] for p in panels)
+    error = sum(p[3] for p in panels)
+    return panels, value, error, evals
+
+
+def reference_cumulative_call(self, x):
+    """A cumulative-integral read with one product over all partial panels."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    xs = np.atleast_1d(x)
+    xs = np.clip(xs, self.lo, self.hi)
+    idx = np.searchsorted(self._lefts, xs, side="right") - 1
+    idx = np.clip(idx, 0, len(self._lefts) - 1)
+    out = self._prefix[idx].copy()
+    starts = self._lefts[idx]
+    widths = xs - starts
+    live = widths > 0
+    if np.any(live):
+        centers = starts[live] + 0.5 * widths[live]
+        halves = 0.5 * widths[live]
+        nodes = centers[:, None] + halves[:, None] * quadrature._NODES[None, :]
+        fv = np.asarray(self._w(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        out[live] += halves * (fv @ quadrature._WK)
+    return float(out[0]) if scalar else out
+
+
+def reference_product_call(self, t, runs=None):
+    return self.w(t) * self.inner(t)
+
+
+def outcome(compute):
+    """compute()'s value, or the type, message and estimates of its error."""
+    try:
+        return compute()
+    except (AccuracyError, IntegrationError) as exc:
+        return (type(exc), str(exc), getattr(exc, "best_estimate", None),
+                getattr(exc, "error_estimate", None))
+
+
+def batched_and_reference(compute):
+    """outcome(compute) on the batched engine, then with the reference
+    engine (one integrand call per panel) swapped in."""
+    got = outcome(compute)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(quadrature, "_adaptive", reference_adaptive)
+        m.setattr(quadrature.CumulativeIntegral, "__call__", reference_cumulative_call)
+        m.setattr(quadrature._Product, "__call__", reference_product_call)
+        want = outcome(compute)
+    return got, want
+
+
+@pytest.fixture(scope="module")
+def sweep_grid():
+    """The benchmark's tabulated-grid generator, imported read-only."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+    return lambda knots, shape: Potential.tabulated(workloads.sweep_grid(knots, shape))
+
+
+def _cases(sweep_grid):
+    """(name, integrand, a, b, points): each integrand on its axis."""
+    yukawa = Potential.yukawa()
+    lo, hi, wrap, seeds = quadrature._axis(None, yukawa.breakpoints())
+    cases = [
+        ("polynomial", lambda x: x ** 3 - 2.0 * x + 1.0, 0.0, 2.0, (0.5, 1.3)),
+        ("constant", lambda x: 2.5, 0.0, 3.0, (1.0,)),
+        ("yukawa", wrap(lambda r: r * yukawa.evaluate(r)), lo, hi, seeds),
+    ]
+    for knots, shape in ((16, 0), (16, 6), (64, 1), (64, 3)):
+        pot = sweep_grid(knots, shape)
+        cases.append((f"grid{knots}/{shape}", lambda r, pot=pot: r * pot.evaluate(r),
+                      0.0, pot.cutoff, pot.breakpoints()))
+    return cases
+
+
+def test_batched_adaptive_matches_reference(sweep_grid):
+    for name, f, a, b, points in _cases(sweep_grid):
+        got = quadrature._adaptive(f, a, b, CFG, points)
+        want = reference_adaptive(f, a, b, CFG, points)
+        assert got == want, name
+
+
+def test_batched_integrals_match_reference(sweep_grid):
+    for name, f, a, b, points in _cases(sweep_grid):
+        got, want = batched_and_reference(lambda: integrate(f, a, b, CFG, points))
+        assert got == want, name
+        got, want = batched_and_reference(lambda: FixedRule(f, CFG, b, points))
+        assert got.total == want.total, name
+        assert np.array_equal(got.nodes, want.nodes), name
+        assert np.array_equal(got.weights, want.weights), name
+    for pot in (Potential.yukawa(), Potential.exponential()):
+        f = lambda r: r * pot.evaluate(r)
+        got, want = batched_and_reference(
+            lambda: integrate_semi_infinite(f, 0.0, CFG, points=pot.breakpoints()))
+        assert got == want
+        got, want = batched_and_reference(
+            lambda: FixedRule(f, CFG, points=pot.breakpoints()))
+        assert got.total == want.total
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.weights, want.weights)
+
+
+def test_batched_nested_integrals_match_reference(sweep_grid):
+    e = lambda x: np.exp(-x)
+    got, want = batched_and_reference(lambda: nested_double(e, lambda y: y * e(y), CFG))
+    assert got == want
+    got, want = batched_and_reference(lambda: nested_triple(e, e, e, CFG))
+    assert got == want
+    # a triple whose innermost reads move by one ulp unless each is summed
+    # in one product per outer panel, as one call per panel summed them
+    got, want = batched_and_reference(lambda: nested_triple(
+        lambda x: np.exp(-2.3437682124459513 * x) * x ** 0.9037738059951288,
+        lambda y: np.exp(-1.3872299458750215 * y) * np.sqrt(y),
+        lambda z: np.exp(-0.3428160781763829 * z) * (1.0 + z * z),
+        CFG, upper=3.832222234210461))
+    assert got == want
+    for pot in (sweep_grid(16, 0), sweep_grid(64, 1), Potential.yukawa()):
+        for ell in range(4):
+            for bound in (bounds.lower_second_order, bounds.lower_third_order):
+                got, want = batched_and_reference(lambda: bound(pot, ell).value)
+                assert got == want, (pot.label, ell, bound.__name__)
+
+
+@pytest.mark.parametrize("shape", ["yukawa", "grid16/6"])
+def test_batched_variational_form_matches_reference(sweep_grid, shape):
+    # both shapes hold a value that one product over every partial panel of
+    # a batch would move by one ulp
+    pot = Potential.yukawa() if shape == "yukawa" else sweep_grid(16, 6)
+    for ell in range(4):
+        for p in (0.3, 1.0, 2.7):
+            got, want = batched_and_reference(
+                lambda: bounds.upper_variational_at(pot, ell, p).value)
+            assert got == want, (ell, p)
+
+
+def test_nonfinite_panel_error_matches_reference():
+    # two bad initial panels, [0.3, 0.4] and [0.6, 0.7]: the first is named
+    bad = lambda x: np.where(((x > 0.3) & (x < 0.4)) | ((x > 0.6) & (x < 0.7)),
+                             np.nan, 1.0)
+    points = [k / 10 for k in range(1, 10)]
+    got, want = batched_and_reference(lambda: integrate(bad, 0.0, 1.0, CFG, points))
+    assert got == want
+    assert got[0] is IntegrationError and "[0.3, 0.4]" in got[1]
+    # finite on [0, 1] and on [0.5, 1], but NaN at the centres of both
+    # children of [0, 0.5]: the left child is named
+    singular = lambda x: np.where((x == 0.125) | (x == 0.375), np.nan, x ** -0.5)
+    got, want = batched_and_reference(lambda: integrate(singular, 0.0, 1.0, CFG))
+    assert got == want
+    assert got[0] is IntegrationError and "[0.0, 0.25]" in got[1]
+
+
+def test_budget_exhaustion_matches_reference():
+    tiny = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=40)
+    got, want = batched_and_reference(lambda: integrate(lambda x: x ** -0.95, 0.0, 1.0, tiny))
+    assert got == want
+    assert got[0] is AccuracyError
+
+
+def test_one_integrand_call_per_refinement_step(sweep_grid):
+    pot = sweep_grid(64, 1)
+    calls = []
+
+    def counted(r):
+        calls.append(r.size)
+        return pot.evaluate(r) ** 0.3  # a trial weight: the grid's kinks split
+
+    res = integrate(counted, 0.0, pot.cutoff, CFG, points=pot.breakpoints())
+    initial = len(quadrature._initial_edges(0.0, pot.cutoff, pot.breakpoints())) - 1
+    assert initial == 64  # one per gap between the 63 knots inside the support
+    assert res.evaluations > 15 * initial
+    assert len(calls) == 1 + (res.evaluations // 15 - initial) // 2
+    assert calls[0] == 15 * initial
+    assert all(n == 30 for n in calls[1:])
+
+
+def test_cumulative_read_calls_its_weight_once():
+    calls = {"w2": 0, "w3": 0}
+
+    def weight(name, f):
+        def w(x):
+            calls[name] += 1
+            return f(x)
+        return w
+
+    inner = quadrature.CumulativeIntegral(weight("w3", lambda z: z * z), 0.0, 1.0, CFG)
+    middle = quadrature.CumulativeIntegral(
+        quadrature._Product(weight("w2", np.sqrt), inner), 0.0, 1.0, CFG)
+    x = np.linspace(0.0, 1.0, 15 * 7)
+    for runs in (None, [15] * 7):
+        calls.update(w2=0, w3=0)
+        middle(x, runs=runs)
+        assert calls == {"w2": 1, "w3": 1}

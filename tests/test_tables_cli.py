@@ -229,6 +229,20 @@ def test_cli_overflowing_search_trial_is_rejected(capsys):
     assert value["ggmt"] <= value["shooting"] <= value["variational"]
 
 
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+def test_cli_infinite_tolerance_is_a_configuration_error(tmp_path, capsys, key):
+    # an infinite tolerance stops refinement at the first estimate and
+    # prints an inf error estimate; it must be refused as a bad config
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[potential]\nkind = exponential\n\n[quadrature]\n{key} = inf\n")
+    assert main(["compute", "--config", str(cfg), "--methods",
+                 "bargmann_schwinger", "--records"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert "Traceback" not in captured.err
+    assert "inf" not in captured.out
+
+
 def test_build_potential_dispatch():
     assert build_potential("yukawa", R=2.0).R == 2.0
     assert build_potential("stis", alpha=3.0).alpha == 3.0
