@@ -208,7 +208,10 @@ def critical_coupling_shooting(pot: Potential, ell: int,
         # wider than the gap between thresholds can skip the first two
         if _integrate_log_radial(pot, ell, b, cfg, log_step,
                                  count_nodes=True)[3] <= 1:
-            return brentq(coeff, a, b, rtol=1e-12, xtol=1e-300)
+            # brentq starts by evaluating both ends, which the scan has done
+            scanned = {a: fa, b: fb}
+            return brentq(lambda g: scanned.pop(g) if g in scanned else coeff(g),
+                          a, b, rtol=1e-12, xtol=1e-300)
         factor = math.sqrt(factor)
     raise AccuracyError(
         f"no scan step isolated the first threshold above g = {a0:g}")
@@ -254,7 +257,8 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
     # and its transpose: the same two factors per entry, and adjacent nodes
     # differ by far more than rounding, so the min never picks wrongly.
     # Built in place so at most two n x n arrays are live.
-    with np.errstate(divide="ignore"):
+    # x^(-l) overflows to inf for l >= ~50, which the power iteration reports
+    with np.errstate(divide="ignore", over="ignore"):
         a = x ** (ell + 1)
         b = x ** (-ell)
         matrix = np.multiply.outer(a, b)

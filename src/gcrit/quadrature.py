@@ -1,14 +1,18 @@
 """Adaptive one-dimensional quadrature and nested cumulative integrals.
 
 The base rule is the 15-point Gauss-Kronrod pair; panels are refined by
-bisection, worst error first.  Each refinement step calls the integrand once,
-on the nodes of all the panels it evaluates (every initial panel, then both
-halves of a split), so integrands must be pointwise: a value may not depend
-on the other nodes of the call.  All evaluation nodes are strictly interior,
-so integrable endpoint singularities milder than 1/x and indicator-style
-integrands need no special casing.  Semi-infinite integrals map [a, inf)
-onto [0, 1) with x = a + t/(1-t), which preserves polynomial-times-
-exponential decay well.
+bisection, worst error first.  Each refinement step calls the integrand at
+most once, on the nodes of all the panels it evaluates (every initial panel,
+then both halves of a split).  Along a chain of splits on one side the call
+also evaluates ahead, the halves of the panels the chain would split next,
+which the refinement uses later in its own order: results are those of one
+call per split, but a call can include nodes of panels the final partition
+never uses.  Integrands must therefore be pointwise (a value may not depend
+on the other nodes of the call) and must tolerate any point strictly inside
+the interval.  All evaluation nodes are strictly interior, so integrable
+endpoint singularities milder than 1/x and indicator-style integrands need
+no special casing.  Semi-infinite integrals map [a, inf) onto [0, 1) with
+x = a + t/(1-t), which preserves polynomial-times-exponential decay well.
 
 Nested double and triple integrals evaluate the inner antiderivative from
 a cached panel partition (prefix sums plus one non-adaptive partial panel),
@@ -54,6 +58,7 @@ _WG = np.zeros(15)
 _WG[1:7:2] = _WG_HALF
 _WG[7] = _WG_CENTER
 _WG[9:15:2] = _WG_HALF[::-1]
+_XK_OUTER = float(_XK_HALF[0])
 
 
 @dataclass(frozen=True)
@@ -95,35 +100,37 @@ class IntegralResult:
 
 def _panels(f, spans):
     """Gauss-Kronrod 15(7) estimates (value, error) of the panels `spans`,
-    each with a QUADPACK-style error, from one call of f on all their nodes.
+    each with a QUADPACK-style error, from one call of f on all their nodes;
+    None for a panel where f is not finite.
 
     The arithmetic of each panel is that of a panel evaluated on its own, so
     the estimates do not depend on which panels share the call.
     """
-    halves = [0.5 * (b - a) for a, b in spans]
-    centers = [0.5 * (a + b) for a, b in spans]
-    x = (np.array(centers)[:, None] + np.array(halves)[:, None] * _NODES).ravel()
+    lo, hi = np.array(spans).T
+    halves = 0.5 * (hi - lo)
+    centers = 0.5 * (lo + hi)
+    x = (centers[:, None] + halves[:, None] * _NODES).ravel()
     fv = np.asarray(f(x), dtype=float)
     if fv.shape != x.shape:
         fv = np.broadcast_to(fv, x.shape).astype(float)
-    fv = fv.reshape(len(spans), 15)
+    # np.vecdot sums a C-contiguous row with the bits of `_WK @ row`
+    fv = np.ascontiguousarray(fv.reshape(len(spans), 15))
     finite = np.isfinite(fv).all(axis=1)
     if not finite.all():
-        a, b = spans[int(np.argmin(finite))]
-        raise IntegrationError(
-            f"integrand returned a non-finite value in [{a!r}, {b!r}]")
+        fv = np.where(finite[:, None], fv, 0.0)
+    resk = halves * np.vecdot(fv, _WK)
+    resg = halves * np.vecdot(fv, _WG)
+    resabs = halves * np.vecdot(np.abs(fv), _WK)
+    mean = resk / (hi - lo)
+    resasc = halves * np.vecdot(np.abs(fv - mean[:, None]), _WK)
     out = []
-    for (a, b), half, row in zip(spans, halves, fv):
-        resk = half * float(_WK @ row)
-        resg = half * float(_WG @ row)
-        resabs = half * float(_WK @ np.abs(row))
-        mean = resk / (b - a)
-        resasc = half * float(_WK @ np.abs(row - mean))
-        err = abs(resk - resg)
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        err = max(err, 50.0 * _EPS * resabs)
-        out.append((resk, err))
+    # the error term in Python floats: numpy's power rounds differently
+    for ok, k, g, absum, asc in zip(finite.tolist(), resk.tolist(), resg.tolist(),
+                                    resabs.tolist(), resasc.tolist()):
+        err = abs(k - g)
+        if asc != 0.0 and err != 0.0:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+        out.append((k, max(err, 50.0 * _EPS * absum)) if ok else None)
     return out
 
 
@@ -135,33 +142,86 @@ def _initial_edges(a, b, points):
     edges.append(b)
     return edges
 
+
+def _chain(f, lo, hi, side, levels):
+    """(span, (estimate, depth)) pairs of the halves of (lo, hi) and of its
+    descendants on `side` (0 left, 1 right), at most `levels` panels deep,
+    from one call of f.  The last half on `side`, the end of the chain,
+    carries the number of levels as its depth; every other half carries 1.
+
+    Below the first level, a panel is split only when every node of both
+    halves lies strictly inside them: at widths near rounding level a node
+    can land on an edge, which the integrand need not tolerate.
+    """
+    spans = []
+    for _ in range(levels):
+        mid = 0.5 * (lo + hi)
+        halves = [(lo, mid), (mid, hi)]
+        if spans and not all(map(_interior, halves)):
+            break
+        spans += halves
+        lo, hi = halves[side]
+    depths = [1] * len(spans)
+    depths[side - 2] = len(spans) // 2
+    return zip(spans, zip(_panels(f, spans), depths))
+
+
+def _interior(span):
+    """Whether every node `_panels` evaluates on span lies strictly inside."""
+    lo, hi = span
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return lo < center - half * _XK_OUTER and center + half * _XK_OUTER < hi
+
+
+def _estimate(est, lo, hi):
+    if est is None:
+        raise IntegrationError(
+            f"integrand returned a non-finite value in [{lo!r}, {hi!r}]")
+    return est
+
+
 def _adaptive(f, a, b, cfg, points=()):
     """Refine panels worst-first; returns (panels, value, error, evaluations).
 
     Panels that can no longer be split (width at rounding level) keep their
     error but stop competing for refinement.
+
+    A split can evaluate ahead along a chain, such as the bisections towards
+    an endpoint singularity.  When the popped panel is the end of a chain
+    evaluated ahead, or a half of the panel split in the step before, the
+    same integrand call also evaluates the halves of its descendants on its
+    own side, twice as many levels as its chain had (two for a new chain),
+    but never more than the splits the budget has left.  The halves wait in
+    `ahead` until the refinement, in its own order, splits their parent, so
+    the estimates, the partition, the evaluation count (of the panels used)
+    and every error are those of evaluating each split when it is made; a
+    non-finite value raises only when its panel is used.
     """
     edges = _initial_edges(a, b, points)
+    spans = list(zip(edges[:-1], edges[1:]))
     heap = []
     frozen = []
+    ahead = {}
     count = 0
     evals = 0
     total = 0.0
     toterr = 0.0
-    spans = list(zip(edges[:-1], edges[1:]))
-    for (lo, hi), (val, err) in zip(spans, _panels(f, spans)):
+    for (lo, hi), est in zip(spans, _panels(f, spans)):
+        val, err = _estimate(est, lo, hi)
         evals += 15
-        heapq.heappush(heap, (-err, count, lo, hi, val))
+        # (-error, id, lo, hi, value, chain depth, side of its parent)
+        heapq.heappush(heap, (-err, count, lo, hi, val, 1, 0))
         count += 1
         total += val
         toterr += err
+    fresh = count  # the first id made by the last split
     while toterr > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         if len(heap) + len(frozen) >= cfg.max_subdivisions:
             raise AccuracyError(
                 f"quadrature budget of {cfg.max_subdivisions} panels exhausted "
                 f"(estimate {total!r}, error {toterr!r})",
                 best_estimate=total, error_estimate=toterr)
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        neg_err, n, lo, hi, val, depth, side = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # width at rounding level: keep the panel and its error, stop
@@ -172,14 +232,22 @@ def _adaptive(f, a, b, cfg, points=()):
             continue
         total -= val
         toterr += neg_err
-        children = ((lo, mid), (mid, hi))
-        for (p, q), (v, e) in zip(children, _panels(f, children)):
+        if (lo, mid) not in ahead:
+            # a chain goes on from its end, or starts at a half of the panel
+            # just split; it never outgrows the splits the budget has left
+            levels = 2 * depth if depth > 1 or n >= fresh else 1
+            room = cfg.max_subdivisions - 1 - len(heap) - len(frozen)
+            ahead.update(_chain(f, lo, hi, side, min(levels, room)))
+        fresh = count
+        for s, (p, q) in enumerate(((lo, mid), (mid, hi))):
+            est, d = ahead.pop((p, q))
+            v, e = _estimate(est, p, q)
             evals += 15
-            heapq.heappush(heap, (-e, count, p, q, v))
+            heapq.heappush(heap, (-e, count, p, q, v, d, s))
             count += 1
             total += v
             toterr += e
-    panels = [(lo, hi, val, -neg) for neg, _, lo, hi, val in heap]
+    panels = [(lo, hi, val, -neg) for neg, _, lo, hi, val, _, _ in heap]
     panels += [(lo, hi, val, err) for lo, hi, val, err in frozen]
     panels.sort()
     value = sum(p[2] for p in panels)
@@ -191,9 +259,10 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
               points: Sequence[float] = ()) -> IntegralResult:
     """Integrate f over the finite interval (a, b).
 
-    f must accept numpy arrays and be pointwise: it is called once per
-    refinement step, on the nodes of several panels.  Nodes never touch a or
-    b.  `points` seeds panel edges at known breakpoints of the integrand.
+    f must accept numpy arrays and be pointwise: it is called at most once
+    per refinement step, on the nodes of several panels, some of which the
+    refinement may never use (see `_adaptive`).  Nodes never touch a or b.
+    `points` seeds panel edges at known breakpoints of the integrand.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import jv
 
+from gcrit import exact
 from gcrit.cli import main
 from gcrit.errors import AccuracyError, DomainError, IntegrationError
 from gcrit.exact import (DEFAULT_LOG_STEP, _EDGE_NUDGE, _integrate_log_radial,
@@ -323,3 +329,43 @@ def test_nystrom_overflowing_kernel_is_a_numerical_error(capsys):
     err = capsys.readouterr().err
     assert "numerical error: power iteration produced a non-finite iterate" in err
     assert "Traceback" not in err
+
+
+def test_nystrom_overflowing_kernel_prints_no_warning():
+    # x^-60 overflows while the kernel is built; only the documented
+    # numerical-error line may reach stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gcrit.cli", "compute", "--potential", "square_well",
+         "--ell", "60", "--methods", "nystrom"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3
+    assert "numerical error: power iteration produced a non-finite iterate" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# -- the polish reuses the scan's values at the bracket ends ------------------
+
+@pytest.mark.parametrize("name", ["exponential", "square_well", "shell"])
+def test_shooting_integrates_each_strength_once(monkeypatch, name):
+    pot = SHAPES[name]
+    for ell in (0, 3):
+        # the old polish, which integrates both bracket ends again
+        with monkeypatch.context() as m:
+            m.setattr(exact, "brentq", lambda f, a, b, **kw: brentq(
+                lambda g: shoot_zero_energy(pot, ell, g), a, b, **kw))
+            want = critical_coupling_shooting(pot, ell)
+        strengths = []
+
+        def spy(*args, **kwargs):
+            strengths.append(args[2])
+            return shoot_zero_energy(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(exact, "shoot_zero_energy", spy)
+            got = critical_coupling_shooting(pot, ell)
+        assert got == want, ell
+        assert len(strengths) == len(set(strengths)), ell
