@@ -515,15 +515,17 @@ def test_nonfinite_value_past_a_converged_chain_is_never_used():
 
     want = reference_adaptive(probe, 0.0, 1.0, CFG)
     floor = min(lowest)
-    bad, calls = counting(lambda x: np.where(x < floor, np.nan, x ** -0.5))
+    nan_nodes = []
+
+    def bad(x):
+        nan_nodes.append(np.count_nonzero(x < floor))
+        return np.where(x < floor, np.nan, x ** -0.5)
+
     assert quadrature._adaptive(bad, 0.0, 1.0, CFG) == want
     got, want = batched_and_reference(lambda: integrate(bad, 0.0, 1.0, CFG))
     assert got == want
     assert isinstance(got, quadrature.IntegralResult)
-    # the look-ahead did evaluate where the integrand is NaN
-    lowest.clear()
-    outcome(lambda: integrate(lambda x: probe(x) * bad(x) / probe(x), 0.0, 1.0, CFG))
-    assert min(lowest) < floor
+    assert sum(nan_nodes) > 0  # the look-ahead did evaluate there
 
 
 def test_alternating_chains_evaluate_ahead():
