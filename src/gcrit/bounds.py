@@ -26,7 +26,8 @@ from .exact import critical_coupling_nystrom, critical_coupling_shooting
 from .optimize import minimize_scalar_log
 from .potentials import AngularMomentum, Kind, Potential
 from .quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig, integrate,
-                         integrate_semi_infinite, nested_double, nested_triple)
+                         integrate_semi_infinite, lockstep, nested_double,
+                         nested_triple)
 
 
 class Method(str, Enum):
@@ -258,13 +259,40 @@ def _calogero_II_integrand(pot: Potential, ell: int, a: float, g: float):
     return integrand
 
 
-def _calogero_II_lhs(pot: Potential, ell: int, a: float, g: float,
-                     cfg: QuadratureConfig) -> float:
-    """Left side of the nonlinear sufficient condition at (a, g)."""
-    return a * pot.support_integral(_calogero_II_integrand(pot, ell, a, g), _rel_cfg(cfg))
-
-
 G_SEARCH_RANGE = (1e-6, 1e6)
+
+
+def _threshold_trials(g_start: float):
+    """The strengths `_bracket_threshold` tries, as a generator: it yields
+    each trial g, is sent excess(g), and returns the final (lo, hi)."""
+    g_lo, g_hi = G_SEARCH_RANGE
+    lo = hi = g_start
+    f = yield lo
+    if f < 0:
+        while f < 0:
+            lo = hi
+            hi *= 4.0
+            if hi > g_hi:
+                raise SearchRangeError(
+                    f"sufficient condition never reached 1 below g = {g_hi:g}")
+            f = yield hi
+    else:
+        while (yield lo) >= 0:
+            hi = lo
+            lo /= 4.0
+            if lo < g_lo:
+                raise SearchRangeError(
+                    f"sufficient condition already holds at g = {g_lo:g}")
+    # plain bisection: the left side is monotone in g, so this cannot fail
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (yield mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return lo, hi
 
 
 def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
@@ -274,34 +302,13 @@ def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
     G_SEARCH_RANGE, then bisects it to 1e-12 relative; returns (lo, hi)
     with excess(lo) < 0 <= excess(hi) as far as the samples tell.
     """
-    g_lo, g_hi = G_SEARCH_RANGE
-    lo = hi = g_start
-    f = excess(lo)
-    if f < 0:
-        while f < 0:
-            lo = hi
-            hi *= 4.0
-            if hi > g_hi:
-                raise SearchRangeError(
-                    f"sufficient condition never reached 1 below g = {g_hi:g}")
-            f = excess(hi)
-    else:
-        while excess(lo) >= 0:
-            hi = lo
-            lo /= 4.0
-            if lo < g_lo:
-                raise SearchRangeError(
-                    f"sufficient condition already holds at g = {g_lo:g}")
-    # plain bisection: the left side is monotone in g, so this cannot fail
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return lo, hi
+    trials = _threshold_trials(g_start)
+    g = next(trials)
+    while True:
+        try:
+            g = trials.send(excess(g))
+        except StopIteration as done:
+            return done.value
 
 
 class _RuleRejected(Exception):
@@ -320,9 +327,14 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     The search runs on a frozen rule: the nodes and weights of the adaptive
     pass at g_trial, with v and (r/a)^(2l) cached there, so every further
     trial g costs one vectorized sum.  Adaptive quadrature then confirms the
-    outcome: excess(lo) < 0 <= excess(hi) for the final bracket, or the sign
-    at the last sample before a SearchRangeError.  When a check fails or
-    the rule turns non-finite, the search reruns on adaptive quadrature.
+    outcome: excess(lo) < 0 <= excess(hi) for the final bracket, both in one
+    `lockstep` pass, or the sign at the last sample before a
+    SearchRangeError.  When a check fails or the rule turns non-finite, the
+    search reruns on adaptive values: each strength it asks for that is not
+    yet known is evaluated in one lockstep pass together with the rest of
+    the path the frozen rule predicts from there.  Every value and error is
+    that of its own adaptive integral, and an error raises only at a
+    strength the search asks for.
     """
     ell = AngularMomentum(ell).ell
     if not a > 0:
@@ -330,42 +342,89 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     unit, x = pot.unit, a / pot.scale
     g_lo, g_hi = G_SEARCH_RANGE
     g0 = min(max(g_trial, g_lo), g_hi)
-    rule = FixedRule(_calogero_II_integrand(unit, ell, x, g0), _rel_cfg(cfg),
-                     **unit.support)
-    # the rule's own pass is the adaptive value at g0, so both searches
-    # reuse it there
-    f0 = x * rule.total - 1.0
+    rcfg = _rel_cfg(cfg)
+    rule = FixedRule(_calogero_II_integrand(unit, ell, x, g0), rcfg, **unit.support)
+    # the adaptive excess by strength, or the error its integral raised; the
+    # rule's own pass is the adaptive value at g0
+    known = {g0: x * rule.total - 1.0}
+
+    def confirm(gs):
+        """Evaluate the adaptive excess at the new strengths of gs."""
+        new = np.array([g for g in dict.fromkeys(gs) if g not in known])
+
+        def family(r, k):
+            return _calogero_II_terms(*_calogero_II_factors(unit, ell, x, r), x, new[k])
+
+        for g, res in zip(new.tolist(), lockstep(family, new.size, rcfg, **unit.support)):
+            known[g] = res if isinstance(res, Exception) else x * res.value - 1.0
 
     def excess(g):
-        if g == g0:
-            return f0
-        return _calogero_II_lhs(unit, ell, x, g, cfg) - 1.0
+        if g not in known:
+            confirm(predicted())   # g comes first
+        f = known[g]
+        if isinstance(f, Exception):
+            raise f
+        return f
 
     v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
-    g_last, f_last = g0, f0
+
+    def frozen(g):
+        return x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
+
+    g_last, f_last = g0, known[g0]
 
     def frozen_excess(g):
         nonlocal g_last, f_last
         if g == g0:
-            return f0
-        f = x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
+            return known[g0]
+        f = frozen(g)
         if not math.isfinite(f):
             raise _RuleRejected
         g_last, f_last = g, f
         return f
 
+    def predicted():
+        """The unknown strengths a search asks for, in order, on the known
+        adaptive values and beyond them on the frozen rule, shifted to agree
+        at the last known strength; up to a known error, a non-finite
+        prediction or the end of the search."""
+        unknown = []
+        shift = None
+        trials = _threshold_trials(g0)   # its first trial, g0, is known
+        try:
+            g = next(trials)
+            while True:
+                if g in known:
+                    f = known[g]
+                    if isinstance(f, Exception):
+                        break
+                    g_known = g
+                else:
+                    if shift is None:
+                        shift = known[g_known] - frozen(g_known)
+                    f = frozen(g) + shift
+                    unknown.append(g)
+                    if not math.isfinite(f):
+                        break
+                g = trials.send(f)
+        except (StopIteration, SearchRangeError):
+            pass
+        return unknown
+
     try:
         try:
             lo, hi = _bracket_threshold(frozen_excess, g0)
         except SearchRangeError:
+            confirm([g_last])
             if (excess(g_last) >= 0) == (f_last >= 0):
                 raise
             raise _RuleRejected from None
+        confirm([lo, hi])
         if not excess(lo) < 0 <= excess(hi):
             raise _RuleRejected
     except (_RuleRejected, AccuracyError, IntegrationError):
         # a check that fails or cannot be evaluated proves nothing; the
-        # adaptive search decides, and raises whatever it meets
+        # search on adaptive values decides, and raises whatever it meets
         lo, hi = _bracket_threshold(excess, g0)
     return BoundResult(Method.CALOGERO_II, Side.UPPER, hi, ell, optimal_param=a)
 
@@ -397,10 +456,12 @@ def _trial_weight(pot: Potential, q: float):
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        v = pot.evaluate(x)
-        out = np.zeros_like(v)
-        m = v > 0
+        # v itself can overflow (e^-x / x at subnormal x); quadrature rejects
+        # the non-finite value
         with np.errstate(under="ignore", over="ignore"):
+            v = pot.evaluate(x)
+            out = np.zeros_like(v)
+            m = v > 0
             out[m] = np.exp(q * np.log(x[m]) + ex * np.log(v[m]))
         return out
 

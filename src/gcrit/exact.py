@@ -61,7 +61,10 @@ class ShootingState:
 
 
 def _segment_radii(pot: Potential, max_radius: float) -> list[float]:
-    """Integration segments: [r0, interior breakpoints..., R_match]."""
+    """Integration segments: [r0, interior breakpoints..., R_match].
+
+    The support radius is computed once per shape instance, so once per
+    solve: every trial strength of a solve integrates the same `pot`."""
     r0 = pot.start_radius
     r_sup = pot.support_radius(_TAIL_TOL, max_radius)
     r_match = r_sup * (1.0 if pot.is_compact else 1.5)

@@ -118,8 +118,10 @@ class Potential:
         if spec and spec.param and not (q is not None and math.isfinite(q) and q > 0):
             raise ConfigurationError(
                 f"{self.kind.value} requires a positive {spec.param}, got {value!r}")
-        # the parameter at unit radius; a plain attribute, so eq and hash ignore it
+        # the parameter at unit radius, and the support radii computed so
+        # far; plain attributes, so eq and hash ignore them
         object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_radii_memo", {})
         if self.kind is Kind.TABULATED:
             if not self.grid:
                 raise ConfigurationError("tabulated potential requires a nonempty grid")
@@ -251,7 +253,8 @@ class Potential:
     def evaluate(self, r):
         """v(r) for a positive radius or an array of positive radii."""
         arr = np.asarray(r, dtype=float)
-        if arr.size and (np.any(arr <= 0) or not np.all(np.isfinite(arr))):
+        # two reductions; a NaN propagates through min and fails the test
+        if arr.size and not (arr.min() > 0 and arr.max() < math.inf):
             raise DomainError("radius must be positive and finite")
         out = self._shape(arr)
         if arr.ndim == 0:
@@ -262,8 +265,15 @@ class Potential:
         """Radius beyond which r*v(r) stays below tail_tol.
 
         Exact cutoff for compact shapes.  For decaying shapes the crossing of
-        r*v(r) = tail_tol is bracketed by geometric scan and bisected.
+        r*v(r) = tail_tol is bracketed by geometric scan and bisected.  The
+        shape is immutable, so each radius is computed once per instance.
         """
+        key = (tail_tol, max_radius)
+        if key not in self._radii_memo:
+            self._radii_memo[key] = self._tail_radius(tail_tol, max_radius)
+        return self._radii_memo[key]
+
+    def _tail_radius(self, tail_tol: float, max_radius: float) -> float:
         if not tail_tol > 0:
             raise DomainError("tail_tol must be positive")
         if self.is_compact:

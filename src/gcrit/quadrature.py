@@ -14,6 +14,13 @@ endpoint singularities milder than 1/x and indicator-style integrands need
 no special casing.  Semi-infinite integrals map [a, inf) onto [0, 1) with
 x = a + t/(1-t), which preserves polynomial-times-exponential decay well.
 
+The refinement (`_refinement`) is written once, as a generator that asks
+for the estimates of the panels it needs and is sent them.  A driver
+answers: `_adaptive` (behind `integrate`, `CumulativeIntegral` and
+`FixedRule`) with one integrand, `lockstep` with a family of m integrands
+on one axis, in one integrand call per round over every unfinished member,
+while each member keeps its own heap, look-ahead, budget and errors.
+
 Nested double and triple integrals evaluate the inner antiderivative from
 a cached panel partition (prefix sums plus one non-adaptive partial panel),
 which avoids re-integrating the inner weight at every outer node.  The
@@ -143,11 +150,11 @@ def _initial_edges(a, b, points):
     return edges
 
 
-def _chain(f, lo, hi, side, levels):
-    """(span, (estimate, depth)) pairs of the halves of (lo, hi) and of its
-    descendants on `side` (0 left, 1 right), at most `levels` panels deep,
-    from one call of f.  The last half on `side`, the end of the chain,
-    carries the number of levels as its depth; every other half carries 1.
+def _chain(lo, hi, side, levels):
+    """The halves of (lo, hi) and of its descendants on `side` (0 left, 1
+    right), at most `levels` panels deep, and the depth of each: the last
+    half on `side`, the end of the chain, carries the number of levels;
+    every other half carries 1.
 
     Below the first level, a panel is split only when every node of both
     halves lies strictly inside them: at widths near rounding level a node
@@ -163,7 +170,7 @@ def _chain(f, lo, hi, side, levels):
         lo, hi = halves[side]
     depths = [1] * len(spans)
     depths[side - 2] = len(spans) // 2
-    return zip(spans, zip(_panels(f, spans), depths))
+    return spans, depths
 
 
 def _interior(span):
@@ -180,18 +187,21 @@ def _estimate(est, lo, hi):
     return est
 
 
-def _adaptive(f, a, b, cfg, points=()):
-    """Refine panels worst-first; returns (panels, value, error, evaluations).
+def _refinement(a, b, cfg, points=()):
+    """The adaptive refinement of one integral over (a, b), as a generator:
+    it yields the spans whose estimates it needs, is sent their `_panels`
+    estimates in the same order, and returns (panels, value, error,
+    evaluations).  It raises AccuracyError and IntegrationError itself.
 
-    Panels that can no longer be split (width at rounding level) keep their
-    error but stop competing for refinement.
+    Refines panels worst-first.  Panels that can no longer be split (width
+    at rounding level) keep their error but stop competing for refinement.
 
     A split can evaluate ahead along a chain, such as the bisections towards
     an endpoint singularity.  When the popped panel is the end of a chain
     evaluated ahead, or a half of the panel split in the step before, the
-    same integrand call also evaluates the halves of its descendants on its
-    own side, twice as many levels as its chain had (two for a new chain),
-    but never more than the splits the budget has left.  The halves wait in
+    same request also asks for the halves of its descendants on its own
+    side, twice as many levels as its chain had (two for a new chain), but
+    never more than the splits the budget has left.  The halves wait in
     `ahead` until the refinement, in its own order, splits their parent, so
     the estimates, the partition, the evaluation count (of the panels used)
     and every error are those of evaluating each split when it is made; a
@@ -206,7 +216,7 @@ def _adaptive(f, a, b, cfg, points=()):
     evals = 0
     total = 0.0
     toterr = 0.0
-    for (lo, hi), est in zip(spans, _panels(f, spans)):
+    for (lo, hi), est in zip(spans, (yield spans)):
         val, err = _estimate(est, lo, hi)
         evals += 15
         # (-error, id, lo, hi, value, chain depth, side of its parent)
@@ -237,7 +247,8 @@ def _adaptive(f, a, b, cfg, points=()):
             # just split; it never outgrows the splits the budget has left
             levels = 2 * depth if depth > 1 or n >= fresh else 1
             room = cfg.max_subdivisions - 1 - len(heap) - len(frozen)
-            ahead.update(_chain(f, lo, hi, side, min(levels, room)))
+            spans, depths = _chain(lo, hi, side, min(levels, room))
+            ahead.update(zip(spans, zip((yield spans), depths)))
         fresh = count
         for s, (p, q) in enumerate(((lo, mid), (mid, hi))):
             est, d = ahead.pop((p, q))
@@ -255,13 +266,25 @@ def _adaptive(f, a, b, cfg, points=()):
     return panels, value, error, evals
 
 
+def _adaptive(f, a, b, cfg, points=()):
+    """Drive `_refinement` with one integrand: one call of f per request.
+    Returns (panels, value, error, evaluations)."""
+    steps = _refinement(a, b, cfg, points)
+    spans = next(steps)
+    while True:
+        try:
+            spans = steps.send(_panels(f, spans))
+        except StopIteration as done:
+            return done.value
+
+
 def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
               points: Sequence[float] = ()) -> IntegralResult:
     """Integrate f over the finite interval (a, b).
 
     f must accept numpy arrays and be pointwise: it is called at most once
     per refinement step, on the nodes of several panels, some of which the
-    refinement may never use (see `_adaptive`).  Nodes never touch a or b.
+    refinement may never use (see `_refinement`).  Nodes never touch a or b.
     `points` seeds panel edges at known breakpoints of the integrand.
     """
     a, b = float(a), float(b)
@@ -274,11 +297,11 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
 
 def _transformed(f, a):
-    def g(t):
+    def g(t, *args):
         t = np.asarray(t, dtype=float)
         om = 1.0 - t
         x = a + t / om
-        return f(x) / (om * om)
+        return f(x, *args) / (om * om)
     return g
 
 
@@ -290,6 +313,41 @@ def integrate_semi_infinite(f, a, cfg: QuadratureConfig = DEFAULT_CONFIG,
         raise DomainError("lower endpoint must be finite")
     lo, hi, wrap, seeds = _axis(None, points, a)
     return integrate(wrap(f), lo, hi, cfg, points=seeds)
+
+
+def lockstep(f, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
+             upper: float | None = None, points: Sequence[float] = ()):
+    """Integrate m integrands over the axis `_axis(upper, points)` together.
+
+    f(x, k) gives the values of integrand k[i] at x[i], for an integer
+    array k.  Each member runs its own `_refinement` (its own heap, chain
+    look-ahead, budget and errors), and each round calls f once on the nodes
+    of every span the unfinished members ask for.  Returns, per member, the
+    `IntegralResult` of `integrate` or `integrate_semi_infinite` on that
+    integrand, or the AccuracyError or IntegrationError it would raise;
+    an exception of f itself propagates.
+    """
+    lo, hi, wrap, seeds = _axis(upper, points)
+    g = wrap(f)
+    steps = [_refinement(lo, hi, cfg, seeds) for _ in range(m)]
+    wanted = {k: next(step) for k, step in enumerate(steps)}
+    out = [None] * m
+    while wanted:
+        spans = [span for need in wanted.values() for span in need]
+        k = np.repeat(list(wanted), [15 * len(need) for need in wanted.values()])
+        ests = _panels(lambda x: g(x, k), spans)
+        start = 0
+        for member, need in list(wanted.items()):
+            got, start = ests[start:start + len(need)], start + len(need)
+            try:
+                wanted[member] = steps[member].send(got)
+                continue
+            except StopIteration as done:
+                out[member] = IntegralResult(*done.value[1:])
+            except (AccuracyError, IntegrationError) as exc:
+                out[member] = exc
+            del wanted[member]
+    return out
 
 
 class CumulativeIntegral:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,15 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcrit import bounds as bounds_module
-from gcrit.bounds import (G_SEARCH_RANGE, Method, Side, _calogero_II_lhs,
-                          lower_bargmann_schwinger, lower_ggmt,
+from gcrit.bounds import (G_SEARCH_RANGE, Method, Side, _calogero_II_integrand,
+                          _rel_cfg, lower_bargmann_schwinger, lower_ggmt,
                           lower_ggmt_at, lower_second_order, lower_third_order,
                           sandwich, sufficient_condition_holds,
                           upper_calogero_I, upper_calogero_I_at,
                           upper_calogero_II, upper_calogero_II_at,
                           upper_variational, upper_variational_at,
                           upper_variational_square_well)
-from gcrit.errors import DomainError, SearchRangeError
+from gcrit.errors import (AccuracyError, DomainError, IntegrationError,
+                          SearchRangeError)
 from gcrit.potentials import Potential
 from gcrit.quadrature import DEFAULT_CONFIG, FixedRule
 
@@ -229,6 +231,12 @@ def _bump_grid(n_knots, seed):
     return Potential.tabulated(list(zip(r.tolist(), v.tolist())))
 
 
+def _calogero_II_lhs(pot, ell, a, g, cfg):
+    """Left side of the nonlinear sufficient condition at (a, g), from one
+    adaptive quadrature."""
+    return a * pot.support_integral(_calogero_II_integrand(pot, ell, a, g), _rel_cfg(cfg))
+
+
 def reference_calogero_II(pot, ell, a, g_trial, cfg=DEFAULT_CONFIG):
     """Threshold by adaptive quadrature at every trial g: the search as it
     was before the frozen rule, kept as the slow path the rule must match."""
@@ -334,3 +342,174 @@ def test_calogero_II_verification_catches_a_biased_rule(monkeypatch):
     searches.clear()
     assert upper_calogero_II_at(pot, 3, a).value == want
     assert len(searches) == 2  # rejected, then the adaptive search
+
+
+# ---------------------------------------------------------------------------
+# Calogero II: the fallback walk against the sequential adaptive search
+# ---------------------------------------------------------------------------
+
+SEARCH_CFG = DEFAULT_CONFIG.loosened(rel_tol=1e-8, max_subdivisions=600)
+_SEARCH_ERRORS = (SearchRangeError, AccuracyError, IntegrationError)
+
+
+def reference_bracket(pot, ell, a, g_trial, cfg, visited=None):
+    """`_bracket_threshold` as it ran on adaptive quadrature at every trial
+    g before the lockstep walk: (lo, hi), or the type and message of the
+    error it raises.  `visited` collects the strengths it asks for."""
+    visited = [] if visited is None else visited
+
+    def excess(g):
+        visited.append(g)
+        return _calogero_II_lhs(pot, ell, a, g, cfg) - 1.0
+
+    g_lo, g_hi = G_SEARCH_RANGE
+    lo = hi = min(max(g_trial, g_lo), g_hi)
+    try:
+        f = excess(lo)
+        if f < 0:
+            while f < 0:
+                lo = hi
+                hi *= 4.0
+                if hi > g_hi:
+                    raise SearchRangeError(
+                        f"sufficient condition never reached 1 below g = {g_hi:g}")
+                f = excess(hi)
+        else:
+            while excess(lo) >= 0:
+                hi = lo
+                lo /= 4.0
+                if lo < g_lo:
+                    raise SearchRangeError(
+                        f"sufficient condition already holds at g = {g_lo:g}")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if excess(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-12 * hi:
+                break
+    except _SEARCH_ERRORS as exc:
+        return type(exc), str(exc)
+    return lo, hi
+
+
+def observed_walk(monkeypatch, pot, ell, a, g_trial, cfg, trap=()):
+    """Run upper_calogero_II_at and return the outcome of each of its
+    searches, as reference_bracket gives it, and the set of strengths each
+    lockstep pass evaluated; a lockstep member at a strength in `trap` meets
+    a NaN (the frozen rule does not)."""
+    searches, passes = [], []
+    bracket = bounds_module._bracket_threshold
+    lockstep = bounds_module.lockstep
+    terms = bounds_module._calogero_II_terms
+
+    def counted(excess, g_start):
+        try:
+            searches.append(bracket(excess, g_start))
+        except Exception as exc:
+            searches.append((type(exc), str(exc)))
+            raise
+        return searches[-1]
+
+    def observed(f, m, *args, **kwargs):
+        passes.append(set())
+        return lockstep(f, m, *args, **kwargs)
+
+    def trapped(v, t, a, g):
+        out = terms(v, t, a, g)
+        if isinstance(g, np.ndarray):   # a lockstep member per node
+            passes[-1].update(g.tolist())
+            out = np.where(np.isin(g, list(trap)), np.nan, out)
+        return out
+
+    monkeypatch.setattr(bounds_module, "_bracket_threshold", counted)
+    monkeypatch.setattr(bounds_module, "lockstep", observed)
+    monkeypatch.setattr(bounds_module, "_calogero_II_terms", trapped)
+    try:
+        upper_calogero_II_at(pot, ell, a, g_trial, cfg)
+    except _SEARCH_ERRORS:
+        pass
+    return searches, passes
+
+
+def _biased(factor):
+    """A FixedRule.integral off by `factor`, which the checks reject."""
+    integral = FixedRule.integral
+    return lambda self, values: integral(self, values) * factor
+
+
+def _nan_after(calls):
+    """A FixedRule.integral that turns NaN after `calls` calls, so that the
+    frozen search is rejected and every prediction stops at its first
+    unknown strength."""
+    integral = FixedRule.integral
+    seen = []
+
+    def nan_after(self, values):
+        seen.append(None)
+        return integral(self, values) if len(seen) <= calls else math.nan
+    return nan_after
+
+
+# (shape, l, a, g_trial, a maker of the FixedRule.integral to use or None,
+# at most this many lockstep passes or None): searches whose frozen rule is
+# rejected
+FALLBACKS = {
+    # the rule is off by ~1e-9 at both ends of its bracket (search config)
+    "natural/exponential/3": (EXP, 3, 0.834, 1.0, None, 4),
+    "biased/tabulated64/3": (CALOGERO_II_SHAPES["tabulated64"][0], 3, 1.408, 1.0,
+                             lambda: _biased(1.0 + 1e-6), 4),
+    "biased/yukawa/0": (YUK, 0, 0.641, 40.0, lambda: _biased(1.0 - 1e-6), 4),
+    "biased/shell/3": (Potential.shell(0.1), 3, 0.678, 1.0,
+                       lambda: _biased(1.0 + 1e-6), 4),
+    # the rule brackets a threshold that adaptive quadrature never reaches
+    "range/square_well/0": (SW, 0, 25.0, 1.0, lambda: _biased(1e3), None),
+    "nan/exponential/0": (EXP, 0, 1.594, 1.0, lambda: _nan_after(5), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_calogero_II_fallback_walk_matches_sequential_search(monkeypatch, case):
+    pot, ell, a, g_trial, integral, most = FALLBACKS[case]
+    want = reference_bracket(pot, ell, a, g_trial, SEARCH_CFG)
+    if integral is not None:
+        monkeypatch.setattr(FixedRule, "integral", integral())
+    searches, passes = observed_walk(monkeypatch, pot, ell, a, g_trial, SEARCH_CFG)
+    assert len(searches) == 2   # the frozen search, rejected, then the walk
+    assert searches[-1] == want
+    evaluated = [g for p in passes for g in p]
+    assert len(evaluated) == len(set(evaluated))   # each strength once
+    assert g_trial not in evaluated   # the rule's own pass is the value there
+    if most is not None:
+        assert len(passes) <= most, [len(p) for p in passes]
+    if case.startswith("range"):
+        assert want[0] is SearchRangeError
+
+
+@pytest.mark.parametrize("case", ["natural/exponential/3", "biased/yukawa/0"])
+def test_calogero_II_walk_ignores_errors_it_never_visits(monkeypatch, case):
+    # a strength the walk predicted but the search never asks for may
+    # neither raise nor change the bracket
+    pot, ell, a, g_trial, integral, _ = FALLBACKS[case]
+    visited = []
+    want = reference_bracket(pot, ell, a, g_trial, SEARCH_CFG, visited)
+    if integral is not None:
+        monkeypatch.setattr(FixedRule, "integral", integral())
+    _, passes = observed_walk(monkeypatch, pot, ell, a, g_trial, SEARCH_CFG)
+    # strengths the walk evaluated but the sequential search never asks for
+    trap = set().union(*passes) - set(visited)
+    assert trap
+    searches, passes = observed_walk(monkeypatch, pot, ell, a, g_trial,
+                                     SEARCH_CFG, trap)
+    assert trap & set().union(*passes)   # some of their integrals did fail
+    assert len(searches) == 2
+    assert searches[-1] == want
+
+
+def test_variational_overflowing_shape_raises_without_warning():
+    # e^-x / x overflows at the subnormal nodes the trial density bisects to
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError):
+            upper_variational_at(YUK, 0, 0.01)

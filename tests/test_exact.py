@@ -369,3 +369,25 @@ def test_shooting_integrates_each_strength_once(monkeypatch, name):
             got = critical_coupling_shooting(pot, ell)
         assert got == want, ell
         assert len(strengths) == len(set(strengths)), ell
+
+
+@pytest.mark.parametrize("make", [Potential.exponential, Potential.yukawa,
+                                  Potential.square_well,
+                                  lambda: Potential.exponential(R=2.0),
+                                  lambda: Potential.shell(0.1)])
+def test_shooting_computes_the_support_radius_once(monkeypatch, make):
+    computed = []
+    tail_radius = Potential._tail_radius
+
+    def counted(self, tail_tol, max_radius):
+        computed.append(tail_tol)
+        return tail_radius(self, tail_tol, max_radius)
+
+    monkeypatch.setattr(Potential, "_tail_radius", counted)
+    got = critical_coupling_shooting(make(), 3)
+    assert len(computed) == 1
+    # the radius computed afresh on every integration, as it was before
+    monkeypatch.setattr(Potential, "support_radius",
+                        lambda self, tail_tol, max_radius=1e4:
+                        tail_radius(self, tail_tol, max_radius))
+    assert critical_coupling_shooting(make(), 3) == got

@@ -156,3 +156,31 @@ def test_breakpoints():
     assert Potential.shell(width=0.1).breakpoints() == (1.0,)
     pot = Potential.tabulated([(0.5, 1.0), (1.0, 2.0), (2.0, 0.0)])
     assert pot.breakpoints() == (0.5, 1.0)
+
+
+def _old_domain_error(arr):
+    """The domain check of Potential.evaluate before it became two reductions."""
+    return bool(arr.size and (np.any(arr <= 0) or not np.all(np.isfinite(arr))))
+
+
+@pytest.mark.parametrize("pot", [Potential.exponential(), Potential.square_well(),
+                                 Potential.tabulated([(0.5, 1.0), (2.0, 0.0)])])
+def test_evaluate_domain_check_matches_the_old_predicate(pot):
+    bad = [0.0, -0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf]
+    good = [5e-324, 1e-300, 0.5, 1.0, 1e300]
+    cases = [np.array(v) for v in bad + good]
+    for v in bad + good:
+        cases.append(np.array([0.7, v, 2.0]))
+        cases.append(np.array([[1.0, 2.0], [v, 0.3]]))
+    cases.append(np.array([[0.5, math.nan], [math.inf, -1.0]]))
+    for arr in cases:
+        if _old_domain_error(arr):
+            with pytest.raises(DomainError, match="radius must be positive and finite"):
+                pot.evaluate(arr)
+        else:
+            assert np.shape(pot.evaluate(arr)) == arr.shape
+    for v in bad:
+        with pytest.raises(DomainError, match="radius must be positive and finite"):
+            pot.evaluate(v)
+    for shape in ((0,), (0, 3)):
+        assert pot.evaluate(np.empty(shape)).shape == shape

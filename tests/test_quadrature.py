@@ -554,3 +554,100 @@ def test_lookahead_variational_trials_match_reference(shape, ell):
         assert got == want, p
     f = lambda x: x ** -0.5
     assert quadrature._adaptive(f, 0.0, 1.0, CFG) == reference_adaptive(f, 0.0, 1.0, CFG)
+
+
+# ---------------------------------------------------------------------------
+# freeze, then verify: a lockstep pass against one integrate call per member
+# ---------------------------------------------------------------------------
+
+def family(fs, calls=None):
+    """The lockstep integrand f(x, k) of the integrands fs; `calls` records
+    the size of each call."""
+    def f(x, k):
+        if calls is not None:
+            calls.append(x.size)
+        out = np.empty_like(x)
+        for j, fj in enumerate(fs):
+            sel = k == j
+            if sel.any():
+                out[sel] = fj(x[sel])
+        return out
+    return f
+
+
+def lockstep_outcomes(fs, cfg, upper, points=()):
+    """outcome() of each member of one lockstep pass over fs."""
+    def unpack(res):
+        return outcome(lambda: _raise(res) if isinstance(res, Exception) else res)
+    return [unpack(res) for res in quadrature.lockstep(family(fs), len(fs), cfg,
+                                                       upper=upper, points=points)]
+
+
+def _raise(exc):
+    raise exc
+
+
+def own_outcomes(fs, cfg, upper, points=()):
+    """outcome() of the integrate call of each integrand of fs on its own."""
+    if upper is None:
+        return [outcome(lambda: integrate_semi_infinite(f, 0.0, cfg, points=points))
+                for f in fs]
+    return [outcome(lambda: integrate(f, 0.0, upper, cfg, points)) for f in fs]
+
+
+def _variants(f):
+    """f and integrands built on it that converge after different numbers
+    of rounds, one of them bisecting towards the origin."""
+    return [f, lambda x: 3.7 * f(x), lambda x: f(x) * x ** -0.5,
+            lambda x: f(x) * np.exp(-4.0 * x), lambda x: f(x) * np.sqrt(x)]
+
+
+def test_lockstep_members_match_their_own_integrate(sweep_grid):
+    for name, f, a, b, points in _cases(sweep_grid):
+        if name == "yukawa":
+            continue   # on its mapped axis; the semi-infinite case is below
+        assert a == 0.0
+        fs = _variants(f)
+        assert lockstep_outcomes(fs, CFG, b, points) == own_outcomes(fs, CFG, b, points), name
+    for pot in (Potential.yukawa(), Potential.exponential()):
+        fs = _variants(lambda r, pot=pot: r * pot.evaluate(r))
+        points = pot.breakpoints()
+        assert lockstep_outcomes(fs, CFG, None, points) == own_outcomes(fs, CFG, None, points)
+
+
+def test_lockstep_keeps_each_members_errors():
+    # one pass whose members converge, exhaust the budget, meet a NaN at
+    # once or after several rounds, and bisect towards an edge until a node
+    # rounds onto it
+    tiny = _budget(40)
+    fs = [lambda x: x * x,
+          lambda x: x ** -0.95,
+          lambda x: x ** -0.5,
+          lambda x: np.where(x > 0.9, np.nan, x),
+          lambda x: np.where(x < 1e-6, np.nan, x ** -0.5),
+          lambda x: np.abs(x - 0.3) ** -0.5]
+    kinds = set()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for cfg in (CFG, tiny):
+            got = lockstep_outcomes(fs, cfg, 1.0, (0.3,))
+            want = own_outcomes(fs, cfg, 1.0, (0.3,))
+            assert got == want
+            kinds.update(w[0] if isinstance(w, tuple) else type(w) for w in want)
+    assert kinds == {quadrature.IntegralResult, AccuracyError, IntegrationError}
+
+
+def test_lockstep_calls_its_integrand_once_per_round(sweep_grid):
+    pot = sweep_grid(64, 1)
+    fs = [lambda r, p=p: pot.evaluate(r) ** p for p in (0.3, 1.0, 2.0)]
+    fs.append(lambda r: r ** -0.5 * pot.evaluate(r))
+    own = []
+    for f in fs:
+        counted, calls = counting(f)
+        integrate(counted, 0.0, pot.cutoff, CFG, pot.breakpoints())
+        own.append(len(calls))
+    calls = []
+    quadrature.lockstep(family(fs, calls), len(fs), CFG, upper=pot.cutoff,
+                        points=pot.breakpoints())
+    # the pass lasts as long as its slowest member, one call per round
+    assert len(calls) == max(own) > min(own)
+    assert calls[0] == len(fs) * 15 * 64   # every member's initial panels
