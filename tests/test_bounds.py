@@ -237,10 +237,15 @@ def _calogero_II_lhs(pot, ell, a, g, cfg):
     return a * pot.support_integral(_calogero_II_integrand(pot, ell, a, g), _rel_cfg(cfg))
 
 
-def reference_calogero_II(pot, ell, a, g_trial, cfg=DEFAULT_CONFIG):
-    """Threshold by adaptive quadrature at every trial g: the search as it
-    was before the frozen rule, kept as the slow path the rule must match."""
+def reference_bracket(pot, ell, a, g_trial, cfg=DEFAULT_CONFIG, visited=None):
+    """The final (lo, hi) of the threshold search with adaptive quadrature at
+    every trial g: the search as it was before the frozen rule and the
+    lockstep walk, kept as the slow path both must match.  `visited`
+    collects the strengths it asks for."""
+    visited = [] if visited is None else visited
+
     def excess(g):
+        visited.append(g)
         return _calogero_II_lhs(pot, ell, a, g, cfg) - 1.0
 
     g_lo, g_hi = G_SEARCH_RANGE
@@ -269,7 +274,13 @@ def reference_calogero_II(pot, ell, a, g_trial, cfg=DEFAULT_CONFIG):
             lo = mid
         if hi - lo <= 1e-12 * hi:
             break
-    return hi
+    return lo, hi
+
+
+def reference_calogero_II(pot, ell, a, g_trial, cfg=DEFAULT_CONFIG):
+    """Threshold by adaptive quadrature at every trial g: the search as it
+    was before the frozen rule, kept as the slow path the rule must match."""
+    return reference_bracket(pot, ell, a, g_trial, cfg)[1]
 
 
 # shape, and its optimal matching radius for l = 0 and l = 3
@@ -352,51 +363,17 @@ SEARCH_CFG = DEFAULT_CONFIG.loosened(rel_tol=1e-8, max_subdivisions=600)
 _SEARCH_ERRORS = (SearchRangeError, AccuracyError, IntegrationError)
 
 
-def reference_bracket(pot, ell, a, g_trial, cfg, visited=None):
-    """`_bracket_threshold` as it ran on adaptive quadrature at every trial
-    g before the lockstep walk: (lo, hi), or the type and message of the
-    error it raises.  `visited` collects the strengths it asks for."""
-    visited = [] if visited is None else visited
-
-    def excess(g):
-        visited.append(g)
-        return _calogero_II_lhs(pot, ell, a, g, cfg) - 1.0
-
-    g_lo, g_hi = G_SEARCH_RANGE
-    lo = hi = min(max(g_trial, g_lo), g_hi)
+def search_outcome(search):
+    """search()'s (lo, hi), or the type and message of the error it raises."""
     try:
-        f = excess(lo)
-        if f < 0:
-            while f < 0:
-                lo = hi
-                hi *= 4.0
-                if hi > g_hi:
-                    raise SearchRangeError(
-                        f"sufficient condition never reached 1 below g = {g_hi:g}")
-                f = excess(hi)
-        else:
-            while excess(lo) >= 0:
-                hi = lo
-                lo /= 4.0
-                if lo < g_lo:
-                    raise SearchRangeError(
-                        f"sufficient condition already holds at g = {g_lo:g}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) >= 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * hi:
-                break
+        return search()
     except _SEARCH_ERRORS as exc:
         return type(exc), str(exc)
-    return lo, hi
 
 
-def observed_walk(monkeypatch, pot, ell, a, g_trial, cfg, trap=()):
+def observed_walk(pot, ell, a, g_trial, cfg, trap=()):
     """Run upper_calogero_II_at and return the outcome of each of its
-    searches, as reference_bracket gives it, and the set of strengths each
+    searches, as search_outcome gives it, and the set of strengths each
     lockstep pass evaluated; a lockstep member at a strength in `trap` meets
     a NaN (the frozen rule does not)."""
     searches, passes = [], []
@@ -423,13 +400,11 @@ def observed_walk(monkeypatch, pot, ell, a, g_trial, cfg, trap=()):
             out = np.where(np.isin(g, list(trap)), np.nan, out)
         return out
 
-    monkeypatch.setattr(bounds_module, "_bracket_threshold", counted)
-    monkeypatch.setattr(bounds_module, "lockstep", observed)
-    monkeypatch.setattr(bounds_module, "_calogero_II_terms", trapped)
-    try:
-        upper_calogero_II_at(pot, ell, a, g_trial, cfg)
-    except _SEARCH_ERRORS:
-        pass
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bounds_module, "_bracket_threshold", counted)
+        m.setattr(bounds_module, "lockstep", observed)
+        m.setattr(bounds_module, "_calogero_II_terms", trapped)
+        search_outcome(lambda: upper_calogero_II_at(pot, ell, a, g_trial, cfg))
     return searches, passes
 
 
@@ -472,10 +447,10 @@ FALLBACKS = {
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_calogero_II_fallback_walk_matches_sequential_search(monkeypatch, case):
     pot, ell, a, g_trial, integral, most = FALLBACKS[case]
-    want = reference_bracket(pot, ell, a, g_trial, SEARCH_CFG)
+    want = search_outcome(lambda: reference_bracket(pot, ell, a, g_trial, SEARCH_CFG))
     if integral is not None:
         monkeypatch.setattr(FixedRule, "integral", integral())
-    searches, passes = observed_walk(monkeypatch, pot, ell, a, g_trial, SEARCH_CFG)
+    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG)
     assert len(searches) == 2   # the frozen search, rejected, then the walk
     assert searches[-1] == want
     evaluated = [g for p in passes for g in p]
@@ -493,15 +468,15 @@ def test_calogero_II_walk_ignores_errors_it_never_visits(monkeypatch, case):
     # neither raise nor change the bracket
     pot, ell, a, g_trial, integral, _ = FALLBACKS[case]
     visited = []
-    want = reference_bracket(pot, ell, a, g_trial, SEARCH_CFG, visited)
+    want = search_outcome(
+        lambda: reference_bracket(pot, ell, a, g_trial, SEARCH_CFG, visited))
     if integral is not None:
         monkeypatch.setattr(FixedRule, "integral", integral())
-    _, passes = observed_walk(monkeypatch, pot, ell, a, g_trial, SEARCH_CFG)
+    _, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG)
     # strengths the walk evaluated but the sequential search never asks for
     trap = set().union(*passes) - set(visited)
     assert trap
-    searches, passes = observed_walk(monkeypatch, pot, ell, a, g_trial,
-                                     SEARCH_CFG, trap)
+    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, trap)
     assert trap & set().union(*passes)   # some of their integrals did fail
     assert len(searches) == 2
     assert searches[-1] == want
