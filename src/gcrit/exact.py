@@ -222,16 +222,51 @@ def critical_coupling_shooting(pot: Potential, ell: int,
 
 @dataclass(frozen=True)
 class KernelDiscretization:
-    """Symmetric quadrature discretization of the coupling-eigenvalue kernel."""
+    """Symmetric quadrature discretization of the coupling-eigenvalue kernel.
+
+    The n x n matrix M_ij = sqrt(w_i w_j) K(x_i, x_j) is never formed.  For
+    nodes in increasing order, G(x_i, x_j) = x_j^(l+1) x_i^(-l) / (2l+1)
+    below the diagonal and its transpose above it, so off the diagonal
+    M_ij = upper_i lower_j (j < i) and lower_i upper_j (j > i) with
+
+        lower_j = x_j^(l+1) s_j / (2l+1),   upper_i = x_i^(-l) s_i,
+
+    s = sqrt(w v): M is diagonal plus semiseparable of rank one, and
+    `disc @ u` applies it in O(n) time and memory with two cumulative sums.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
-    matrix: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    diagonal: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.diagonal.size
+        return n, n
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        """(M u)_i = upper_i sum_(j<i) lower_j u_j
+                     + lower_i sum_(j>i) upper_j u_j + diagonal_i u_i.
+
+        Each partial sum is accumulated from its empty end, never as a total
+        minus the rest, so an overflowed upper_j reaches only the rows i < j,
+        the rows of M that hold it."""
+        lu = self.lower * u
+        uu = self.upper * u
+        below = np.zeros_like(lu)
+        above = np.zeros_like(uu)
+        # inf * 0 where x^(-l) overflowed: the row is non-finite, as in M
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(lu[:-1], out=below[1:])
+            above[:-1] = np.cumsum(uu[:0:-1])[::-1]
+            return self.upper * below + self.lower * above + self.diagonal * u
 
 
 def kernel_discretization(pot: Potential, ell: int, n: int,
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> KernelDiscretization:
-    """Build the n-node symmetric matrix M_ij = sqrt(w_i w_j) K(x_i, x_j).
+    """The n-node symmetric operator M_ij = sqrt(w_i w_j) K(x_i, x_j).
 
     Nodes are the square-graded trapezoid grid x_j = R_eff (j/n)^2, j >= 1,
     which keeps every node strictly positive (the 1/sqrt(r) of a Yukawa
@@ -240,7 +275,8 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
     fourth-order Gregory corrections, and the diagonal carries the local
     correction for the derivative jump of the kernel across r = r'; both are
     needed for the eigenvalue to converge fast enough to cross-check the
-    shooting solver at moderate n.
+    shooting solver at moderate n.  Only the three length-n factor vectors
+    of `KernelDiscretization` are stored.
     """
     pot, ell, length = pot.unit, AngularMomentum(ell).ell, pot.scale
     if n < 8:
@@ -256,33 +292,30 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
     gregory[[2, -3]] = 23.0 / 24.0
     w = h * xp * gregory[1:]
     v = pot.evaluate(x)
-    # x increases, so min^(l+1) max^(-l) is the smaller of x_i^(l+1) x_j^(-l)
-    # and its transpose: the same two factors per entry, and adjacent nodes
-    # differ by far more than rounding, so the min never picks wrongly.
-    # Built in place so at most two n x n arrays are live.
+    s = np.sqrt(w * v)
     # x^(-l) overflows to inf for l >= ~50, which the power iteration reports
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = x ** (ell + 1)
         b = x ** (-ell)
-        matrix = np.multiply.outer(a, b)
-        np.minimum(matrix, np.multiply.outer(b, a), out=matrix)
-        matrix /= 2 * ell + 1
-    s = np.sqrt(w * v)
-    matrix *= np.multiply.outer(s, s)
+        lower = a * s / (2 * ell + 1)
+        upper = b * s
+        # G(x_i, x_i) from the same two powers as the entries off it
+        diagonal = a * b / (2 * ell + 1) * (s * s)
     # trapezoid picks up an O(h^2) term from the slope jump of the kernel
     # across the diagonal; subtracting it locally restores fast convergence
-    diag = np.diag_indices(n)
-    corrected = matrix[diag] - (h * h / 12.0) * xp * xp * v
-    matrix[diag] = np.maximum(corrected, 0.0)
-    return KernelDiscretization(nodes=x * length, weights=w * length, matrix=matrix)
+    diagonal = np.maximum(diagonal - (h * h / 12.0) * xp * xp * v, 0.0)
+    return KernelDiscretization(nodes=x * length, weights=w * length,
+                                lower=lower, upper=upper, diagonal=diagonal)
 
 
-def largest_eigenvalue(matrix: np.ndarray, tol: float = 1e-12,
+def largest_eigenvalue(matrix, tol: float = 1e-12,
                        max_iterations: int = 20000) -> float:
     """Dominant eigenvalue of a symmetric nonnegative kernel matrix.
 
-    Power iteration from a positive start vector; the Rayleigh quotient
-    converges geometrically in the squared eigenvalue gap.
+    `matrix` is an ndarray or any operator with `shape` and `@`, such as a
+    `KernelDiscretization`.  Power iteration from a positive start vector;
+    the Rayleigh quotient converges geometrically in the squared eigenvalue
+    gap.
     """
     n = matrix.shape[0]
     b = np.full(n, 1.0 / math.sqrt(n))
@@ -307,7 +340,7 @@ def critical_coupling_nystrom(pot: Potential, ell: int, n: int = 400,
                               cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Critical strength as the reciprocal dominant kernel eigenvalue."""
     disc = kernel_discretization(pot, ell, n, cfg)
-    return 1.0 / largest_eigenvalue(disc.matrix)
+    return 1.0 / largest_eigenvalue(disc)
 
 
 def bessel_first_zero(nu: float) -> float:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,9 +122,10 @@ def test_shooting_stis_matches_transcendental():
 
 def test_kernel_discretization_structure():
     disc = kernel_discretization(Potential.yukawa(), 0, 60)
-    assert disc.matrix.shape == (60, 60)
-    assert np.array_equal(disc.matrix, disc.matrix.T)
-    assert np.all(np.diag(disc.matrix) >= 0.0)
+    assert disc.shape == (60, 60)
+    u, w = np.random.default_rng(60).uniform(0.5, 1.5, (2, 60))
+    assert math.isclose(w @ (disc @ u), u @ (disc @ w), rel_tol=1e-14)
+    assert np.all(disc.diagonal >= 0.0)
     assert np.all(disc.nodes > 0.0)
     assert np.all(disc.weights > 0.0)
     with pytest.raises(DomainError):
@@ -147,7 +149,18 @@ def test_nystrom_converges_with_node_count():
     assert abs(got - exact) / exact < 1e-6
 
 
-# -- freeze-then-verify: the float RK4 loop and the in-place kernel ---------
+def test_nystrom_memory_is_linear_in_node_count():
+    # a dense 3000 x 3000 kernel alone would take 72 MB
+    tracemalloc.start()
+    try:
+        critical_coupling_nystrom(Potential.exponential(), 0, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
+# -- freeze-then-verify: the float RK4 loop and the kernel operator ---------
 
 def _tabulated_28():
     radii = np.linspace(0.05, 2.0, 28)
@@ -265,26 +278,45 @@ def test_float_rk4_loop_overflow_raises_like_numpy_scalar_loop():
     assert str(got.value) == str(ref.value)
 
 
+#: relative error allowed to the operator's products and eigenvalue: the
+#: cumulative sums add up to n = 400 terms in another order than the matrix
+#: product, each sum within n ulps of the exact one
+KERNEL_RTOL = 1e-13
+
+
+def assert_operator_matches_min_max_kernel(pot, ell, n):
+    disc = kernel_discretization(pot, ell, n)
+    ref = reference_kernel_matrix(pot, ell, n)
+    u = np.random.default_rng(n + ell).uniform(0.5, 1.5, n)
+    assert np.all(np.abs(disc @ u - ref @ u) <= KERNEL_RTOL * (np.abs(ref) @ u))
+    want = largest_eigenvalue(ref)
+    assert abs(largest_eigenvalue(disc) - want) <= KERNEL_RTOL * want
+
+
 @pytest.mark.parametrize("n", (50, 400))
 @pytest.mark.parametrize("ell", (0, 3, 5))
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_in_place_kernel_matches_min_max_kernel(name, ell, n):
-    pot = SHAPES[name]
-    assert np.array_equal(kernel_discretization(pot, ell, n).matrix,
-                          reference_kernel_matrix(pot, ell, n))
+    assert_operator_matches_min_max_kernel(SHAPES[name], ell, n)
+
+
+@pytest.mark.parametrize("n", (50, 400))
+@pytest.mark.parametrize("ell", (0, 3, 5))
+def test_kernel_operator_matches_min_max_kernel_on_sweep_grid(workloads, ell, n):
+    # the 16-knot grid of the benchmark's sweep/16/0 items
+    pot = Potential.tabulated(workloads.sweep_grid(16, 0))
+    assert_operator_matches_min_max_kernel(pot, ell, n)
 
 
 @pytest.mark.parametrize("n, ell", [(400, 60), (1600, 50), (1600, 60)])
 def test_in_place_kernel_matches_where_min_max_kernel_is_finite(n, ell):
-    # x_1^(-l) overflows here, leaving non-finite entries in both kernels
+    # x_1^(-l) overflows here, leaving non-finite rows in both kernels
     pot = Potential.square_well()
     ref = reference_kernel_matrix(pot, ell, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = kernel_discretization(pot, ell, n).matrix
-    finite = np.isfinite(ref)
+    got = kernel_discretization(pot, ell, n) @ np.ones(n)
+    finite = np.isfinite(ref).all(axis=1)
     assert not finite.all()
-    assert np.array_equal(got[finite], ref[finite])
-    assert np.count_nonzero(~np.isfinite(got)) == np.count_nonzero(~finite)
+    assert np.array_equal(np.isfinite(got), finite)
 
 
 # -- shooting scan past closely spaced thresholds ----------------------------

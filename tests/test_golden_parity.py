@@ -2,15 +2,13 @@
 
 `perfbench/golden.json` records every output of the benchmark items at the
 commit that defined it.  Recomputing three table rows, one sandwich on a
-tabulated grid and the shooting solves of two shapes here makes a numerical
-drift beyond 1e-12 relative fail the test suite, not only the benchmark.
-The file is only read.
+tabulated grid, the shooting solves of two shapes and all 60 Nystrom solves
+here makes a numerical drift beyond 1e-12 relative fail the test suite, not
+only the benchmark.  The file is only read.
 """
 
-import importlib.util
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
@@ -55,13 +53,9 @@ def _close(got: dict, want: dict):
                 (key, got[key], ref)
 
 
-def test_sweep_item_matches_golden(golden, monkeypatch):
+def test_sweep_item_matches_golden(golden, workloads):
     # a tabulated grid, which the numerics take in its own units; the item
     # is built by the benchmark's own generator, so its grid is the golden one
-    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
     item = workloads.sweep_item(16, 0, 1)
     _close(item.call(), golden[item.key]["out"])
 
@@ -72,3 +66,14 @@ def test_shooting_matches_golden(golden, name, pot):
     for ell in range(6):
         want = golden[f"solvers/{name}/{ell}/shooting"]["out"]
         _close({"g": critical_coupling_shooting(pot, ell)}, want)
+
+
+@pytest.mark.parametrize("name", ["square_well", "exponential", "yukawa",
+                                  "stis", "shell"])
+def test_nystrom_matches_golden(golden, workloads, name):
+    # every nystrom400 and nystrom1600 item of the shape, l = 0..5
+    items = [item for group in workloads.solver_groups() for item in group
+             if item.key.startswith(f"solvers/{name}/") and "/nystrom" in item.key]
+    assert len(items) == 12
+    for item in items:
+        _close(item.call(), golden[item.key]["out"])
