@@ -8,8 +8,11 @@ Nystrom solver discretizes the symmetric kernel
     K(r, r') = sqrt(v(r)) * G(r, r') * sqrt(v(r'))
 
 with G(r, r') = min^( l+1) max^(-l) / (2l+1), whose largest eigenvalue is the
-reciprocal of the critical strength.  The two methods share no numerics, so
-their agreement is a strong correctness check.
+reciprocal of the critical strength.  G factors into a power of r times a
+power of r' on each side of the diagonal, so the discretized kernel is
+diagonal plus semiseparable and is applied in O(n) without an n x n matrix.
+The two methods share no numerics, so their agreement is a strong
+correctness check.
 """
 
 from __future__ import annotations
