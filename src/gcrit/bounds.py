@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (AccuracyError, DegeneratePotentialError, DomainError,
                      IntegrationError, InvariantViolation, SearchRangeError)
 from .exact import critical_coupling_nystrom, critical_coupling_shooting
-from .optimize import minimize_scalar_log
+from .optimize import bisect, bracket, drive, minimize_scalar_log
 from .potentials import AngularMomentum, Kind, Potential
 from .quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig, integrate,
                          integrate_semi_infinite, lockstep, nested_double,
@@ -263,52 +263,22 @@ G_SEARCH_RANGE = (1e-6, 1e6)
 
 
 def _threshold_trials(g_start: float):
-    """The strengths `_bracket_threshold` tries, as a generator: it yields
-    each trial g, is sent excess(g), and returns the final (lo, hi)."""
+    """The strengths `_bracket_threshold` tries, as a generator for `drive`."""
     g_lo, g_hi = G_SEARCH_RANGE
-    lo = hi = g_start
-    f = yield lo
-    if f < 0:
-        while f < 0:
-            lo = hi
-            hi *= 4.0
-            if hi > g_hi:
-                raise SearchRangeError(
-                    f"sufficient condition never reached 1 below g = {g_hi:g}")
-            f = yield hi
-    else:
-        while (yield lo) >= 0:
-            hi = lo
-            lo /= 4.0
-            if lo < g_lo:
-                raise SearchRangeError(
-                    f"sufficient condition already holds at g = {g_lo:g}")
+    lo, hi = yield from bracket(g_start, 4.0, 4.0, g_lo, g_hi)
+    if lo is None:
+        raise SearchRangeError(f"sufficient condition already holds at g = {g_lo:g}")
+    if hi is None:
+        raise SearchRangeError(f"sufficient condition never reached 1 below g = {g_hi:g}")
     # plain bisection: the left side is monotone in g, so this cannot fail
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (yield mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return lo, hi
+    return (yield from bisect(lo, hi, 1e-12))
 
 
 def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
-    """Smallest g with excess(g) >= 0 for an excess increasing in g.
-
-    Expands a bracket by factors of 4 from g_start, which lies in
-    G_SEARCH_RANGE, then bisects it to 1e-12 relative; returns (lo, hi)
-    with excess(lo) < 0 <= excess(hi) as far as the samples tell.
-    """
-    trials = _threshold_trials(g_start)
-    g = next(trials)
-    while True:
-        try:
-            g = trials.send(excess(g))
-        except StopIteration as done:
-            return done.value
+    """Smallest g with excess(g) >= 0 for an excess increasing in g, as (lo,
+    hi) with excess(lo) < 0 <= excess(hi): a bracket widened by factors of 4
+    from g_start in G_SEARCH_RANGE, then bisected to 1e-12 relative."""
+    return drive(excess, _threshold_trials(g_start))
 
 
 class _RuleRejected(Exception):

@@ -50,7 +50,6 @@ class RunConfig:
     fmt: str = "csv"
     digits: int = 6
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    n_nystrom: int = 400
 
     def __post_init__(self):
         if not self.ells:
@@ -103,7 +102,7 @@ def run(config: RunConfig) -> list[RunRecord]:
     for ell in config.ells:
         for spec in specs:
             t0 = time.perf_counter()
-            res = spec.compute(config.potential, ell, cfg, config.n_nystrom)
+            res = spec.compute(config.potential, ell, cfg)
             rel_err = 10.0 * cfg.rel_tol if spec.rel_error is None else spec.rel_error
             records.append(RunRecord(ell, spec.method.value, res.value,
                                      res.optimal_param, rel_err * res.value,
@@ -281,6 +280,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.digits < 2:
+        raise ConfigurationError("digits must be at least 2")
     artifact = reproduce_table(args.table)
     fmt = args.format or "csv"
     text = artifact.to_csv(args.digits) if fmt == "csv" else artifact.to_markdown(args.digits)
@@ -342,8 +343,11 @@ def _cmd_check(args) -> int:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {out_path!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -26,6 +26,7 @@ from scipy.special import jv
 
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      NoBoundStateError)
+from .optimize import bracket, drive
 from .potentials import AngularMomentum, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -171,12 +172,12 @@ def critical_coupling_shooting(pot: Potential, ell: int,
                                g_start: float | None = None) -> float:
     """Smallest strength with a zero-energy bound state, via sign change.
 
-    Scans geometrically upward from just below the weakest lower bound
-    (strength per unit shape integral), brackets the first sign change of
-    the growing-mode coefficient, then polishes the root to relative 1e-12.
-    The node count of the solution at the upper end confirms that the
-    bracket holds the first threshold; if not, the scan is repeated with a
-    finer step.
+    Starts just below the weakest lower bound (strength per unit shape
+    integral), halves the strength while the growing-mode coefficient is
+    not positive, scans geometrically upward to its first sign change, then
+    polishes the root to relative 1e-12.  The node count of the solution at
+    the upper end confirms that the bracket holds the first threshold; if
+    not, the scan is repeated with a finer step, on the coefficients known.
     """
     pot = pot.unit
     if g_start is None:
@@ -185,42 +186,34 @@ def critical_coupling_shooting(pot: Potential, ell: int,
             raise NoBoundStateError("shape has a vanishing first moment")
         g_start = 0.98 * (2 * ell + 1) / moment
 
-    def coeff(g):
-        return shoot_zero_energy(pot, ell, g, cfg, log_step)
+    known = {}
 
-    a = g_start
-    fa = coeff(a)
-    while fa <= 0 and a > g_start * 1e-6:
-        a *= 0.5
-        fa = coeff(a)
-    if fa <= 0:
-        raise NoBoundStateError("no subcritical strength found below the scan start")
+    def coeff(g):
+        if g not in known:
+            known[g] = shoot_zero_energy(pot, ell, g, cfg, log_step)
+        return known[g]
+
     cap = g_start * 1e4
-    a0, fa0 = a, fa
     factor = 1.25
     for _ in range(_SCAN_REFINEMENTS + 1):
-        a, fa = a0, fa0
-        while True:
-            b = a * factor
-            fb = coeff(b)
-            if fa > 0 and fb <= 0:
-                break
-            a, fa = b, fb
-            if a > cap:
-                raise NoBoundStateError(
-                    f"growing-mode coefficient did not change sign below g = {cap:g}")
+        a, b = drive(lambda g: -coeff(g),
+                     bracket(g_start, 2.0, factor, 0.5e-6 * g_start, cap * factor))
+        if a is None:
+            raise NoBoundStateError("no subcritical strength found below the scan start")
+        if b is None:
+            raise NoBoundStateError(
+                f"growing-mode coefficient did not change sign below g = {cap:g}")
         # Sturm: between the first two thresholds w has at most one node
         # below the matching radius, past the third at least two; a step
         # wider than the gap between thresholds can skip the first two
         if _integrate_log_radial(pot, ell, b, cfg, log_step,
                                  count_nodes=True)[3] <= 1:
             # brentq starts by evaluating both ends, which the scan has done
-            scanned = {a: fa, b: fb}
-            return brentq(lambda g: scanned.pop(g) if g in scanned else coeff(g),
-                          a, b, rtol=1e-12, xtol=1e-300)
+            return brentq(coeff, a, b, rtol=1e-12, xtol=1e-300)
         factor = math.sqrt(factor)
+    # every scan starts upward from the lowest strength tried
     raise AccuracyError(
-        f"no scan step isolated the first threshold above g = {a0:g}")
+        f"no scan step isolated the first threshold above g = {min(known):g}")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
-"""Scalar minimization on a logarithmic axis.
+"""Scalar minimization on a logarithmic axis, and a sign-change search.
 
 The bound optimizations (GGMT power p, the matching radius a of both
 Calogero conditions, trial-function power p) are smooth and empirically
 unimodal but their optima spread over two decades, so the search works in
 log space: a 13-point geometric pre-scan locates a bracket, the bracket's
 log width is doubled while the best sample sits on a soft edge, and
-golden-section refinement finishes to a relative width of 1e-6.
-`bounds._optimize_bound` is the one caller: it sets the range and the
-trial accuracy and turns rejected trials into inf.
+golden-section refinement finishes to a relative width of 1e-6.  For each
+bound, `bounds._optimize_bound` sets the range and the trial accuracy and
+turns rejected trials into inf.
+
+`bracket` and `bisect` find the first point where an f turns nonnegative (a
+Calogero II threshold, the first shooting threshold, a tail radius) as
+generators that yield their trial points and are sent f there; `drive`
+feeds them, or the quadrature refinement, from one function.
 """
 
 from __future__ import annotations
@@ -100,3 +105,45 @@ def minimize_scalar_log(f, lo: float, hi: float, *, max_expansions: int = 4,
             fd = eval_log(d)
     s_best, f_best = (c, fc) if fc <= fd else (d, fd)
     return ScalarMinResult(math.exp(s_best), f_best, nev, edge_hit)
+
+
+def drive(f, steps):
+    """Send the generator `steps` f(x) for each x it yields; return its value."""
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(f(x))
+        except StopIteration as done:
+            return done.value
+
+
+def bracket(x: float, shrink: float, grow: float, lo_end: float, hi_end: float):
+    """Steps down from x by the factor `shrink` while f >= 0, then up by
+    `grow` while f < 0; returns (lo, hi) with f(lo) < 0 <= f(hi) and
+    hi = lo * grow.  A step that would leave [lo_end, hi_end] is not tried:
+    the walk returns (None, last hi) at the low end, (lo, None) at the high."""
+    hi = None
+    while (yield x) >= 0:
+        hi, x = x, x / shrink
+        if x < lo_end:
+            return None, hi
+    while True:
+        lo, x = x, x * grow
+        if x > hi_end:
+            return lo, None
+        if x == hi or (yield x) >= 0:   # f(hi) >= 0 from the walk down
+            return lo, x
+
+
+def bisect(lo: float, hi: float, rel_tol: float):
+    """Halves a bracket f(lo) < 0 <= f(hi) until hi - lo <= rel_tol * hi,
+    at most 200 times; returns the final (lo, hi)."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (yield mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rel_tol * hi:
+            break
+    return lo, hi

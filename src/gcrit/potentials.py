@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TruncationError
+from .optimize import bisect, bracket, drive
 from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite
 
 
@@ -279,31 +280,20 @@ class Potential:
         if self.is_compact:
             return self.cutoff
 
-        def excess(r):
-            return r * self.evaluate(r) - tail_tol
+        def below(r):   # nonnegative where r*v is at most tail_tol
+            return tail_tol - r * self.evaluate(r)
 
-        lo = self.R
-        if excess(lo) <= 0:
-            # already below at the scale radius: walk inward for a bracket
-            while lo > 1e-12 * self.R and excess(lo) <= 0:
-                lo *= 0.5
-            if excess(lo) <= 0:
-                return self.R
-        hi = 2.0 * lo
-        while excess(hi) > 0:
-            hi *= 2.0
-            if hi > max_radius:
-                raise TruncationError(
-                    f"tail of r*v never drops below {tail_tol} within r <= {max_radius}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * hi:
-                break
-        return hi
+        # walk inward from R while r*v <= tail_tol, else double outward; the
+        # first step out, to 2R, is tried whatever the cap
+        lo, hi = drive(below, bracket(self.R, 2.0, 2.0, 0.5e-12 * self.R,
+                                      max(max_radius, 2.0 * self.R)))
+        if lo is None:   # r*v stays below tail_tol down to the floor
+            return self.R
+        if hi is None:
+            raise TruncationError(
+                f"tail of r*v never drops below {tail_tol} within r <= {max_radius}")
+        # an outward bracket is bisected from R, not from the last doubling
+        return drive(below, bisect(min(lo, self.R), hi, 1e-12))[1]
 
     def validate_regularity(self, eps: float) -> RegularityReport:
         """Sample r^(2-eps) v near 0 and r^(2+eps) v at large r.

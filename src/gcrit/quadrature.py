@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AccuracyError, ConfigurationError, DomainError, IntegrationError
+from .optimize import drive
 
 _EPS = np.finfo(float).eps
 
@@ -269,13 +270,7 @@ def _refinement(a, b, cfg, points=()):
 def _adaptive(f, a, b, cfg, points=()):
     """Drive `_refinement` with one integrand: one call of f per request.
     Returns (panels, value, error, evaluations)."""
-    steps = _refinement(a, b, cfg, points)
-    spans = next(steps)
-    while True:
-        try:
-            spans = steps.send(_panels(f, spans))
-        except StopIteration as done:
-            return done.value
+    return drive(lambda spans: _panels(f, spans), _refinement(a, b, cfg, points))
 
 
 def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,

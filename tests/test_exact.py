@@ -14,7 +14,8 @@ from scipy.special import jv
 
 from gcrit import exact
 from gcrit.cli import main
-from gcrit.errors import AccuracyError, DomainError, IntegrationError
+from gcrit.errors import (AccuracyError, DomainError, IntegrationError,
+                          NoBoundStateError)
 from gcrit.exact import (DEFAULT_LOG_STEP, _EDGE_NUDGE, _integrate_log_radial,
                          _segment_radii, bessel_first_zero,
                          critical_coupling_nystrom, critical_coupling_shooting,
@@ -336,6 +337,107 @@ def test_shooting_scan_started_past_two_thresholds_raises():
     with pytest.raises(AccuracyError,
                        match="no scan step isolated the first threshold above g = 30"):
         critical_coupling_shooting(Potential.square_well(), 0, g_start=30.0)
+
+
+def reference_shooting(pot, ell, g_start, cfg=DEFAULT_CONFIG, log_step=DEFAULT_LOG_STEP):
+    """The shooting scan as it was written out by hand before the shared
+    bracket search, kept as the reference that search must match."""
+    pot = pot.unit
+
+    def coeff(g):
+        return exact.shoot_zero_energy(pot, ell, g, cfg, log_step)
+
+    a = g_start
+    fa = coeff(a)
+    while fa <= 0 and a > g_start * 1e-6:
+        a *= 0.5
+        fa = coeff(a)
+    if fa <= 0:
+        raise NoBoundStateError("no subcritical strength found below the scan start")
+    cap = g_start * 1e4
+    a0, fa0 = a, fa
+    factor = 1.25
+    for _ in range(exact._SCAN_REFINEMENTS + 1):
+        a, fa = a0, fa0
+        while True:
+            b = a * factor
+            fb = coeff(b)
+            if fa > 0 and fb <= 0:
+                break
+            a, fa = b, fb
+            if a > cap:
+                raise NoBoundStateError(
+                    f"growing-mode coefficient did not change sign below g = {cap:g}")
+        if _integrate_log_radial(pot, ell, b, cfg, log_step,
+                                 count_nodes=True)[3] <= 1:
+            scanned = {a: fa, b: fb}
+            return brentq(lambda g: scanned.pop(g) if g in scanned else coeff(g),
+                          a, b, rtol=1e-12, xtol=1e-300)
+        factor = math.sqrt(factor)
+    raise AccuracyError(
+        f"no scan step isolated the first threshold above g = {a0:g}")
+
+
+def _shooting_outcome(solve):
+    try:
+        return solve()
+    except (AccuracyError, NoBoundStateError) as exc:
+        return type(exc), str(exc)
+
+
+# (shape, l, g_start): the halving walk below a g_start past the first
+# threshold, the cap, every refinement past two thresholds (from g_start,
+# and from where the halving walk ends), and the scans from the default start
+SHOOTING_CASES = {
+    "square_well/0/halving": (Potential.square_well(), 0, 5.0),
+    "square_well/0/cap": (Potential.square_well(), 0, 1e-9),
+    "square_well/0/refinements": (Potential.square_well(), 0, 30.0),
+    "square_well/0/halving, then refinements": (Potential.square_well(), 0, 70.0),
+    "square_well/45/refined": (Potential.square_well(), 45, None),
+    "exponential/2": (Potential.exponential(), 2, None),
+    "yukawa/0": (Potential.yukawa(), 0, None),
+}
+
+
+def _traced_shooting(monkeypatch, solve, coefficient=shoot_zero_energy):
+    """The outcome of solve() and the strengths it integrates, in order."""
+    strengths = []
+
+    def spy(*args, **kwargs):
+        strengths.append(args[2])
+        return coefficient(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "shoot_zero_energy", spy)
+        return _shooting_outcome(solve), strengths
+
+
+@pytest.mark.parametrize("case", sorted(SHOOTING_CASES))
+def test_shooting_scan_matches_the_hand_written_scan(monkeypatch, case):
+    pot, ell, g_start = SHOOTING_CASES[case]
+    got = _traced_shooting(
+        monkeypatch, lambda: critical_coupling_shooting(pot, ell, g_start=g_start))
+    if g_start is None:
+        moment = pot.support_integral(lambda r: r * pot.evaluate(r), DEFAULT_CONFIG)
+        g_start = 0.98 * (2 * ell + 1) / moment
+    want = _traced_shooting(monkeypatch, lambda: reference_shooting(pot, ell, g_start))
+    assert got[0] == want[0]
+    # the reference's strengths in its order, each integrated once: a finer
+    # scan can land bit for bit on a strength an earlier scan integrated
+    assert got[1] == list(dict.fromkeys(want[1]))
+
+
+def test_shooting_scan_floor_matches_the_hand_written_scan(monkeypatch):
+    # a coefficient that is never positive exhausts the halving walk
+    pot = Potential.exponential()
+    got = _traced_shooting(monkeypatch,
+                           lambda: critical_coupling_shooting(pot, 0, g_start=3.0),
+                           lambda *args, **kwargs: -1.0)
+    want = _traced_shooting(monkeypatch, lambda: reference_shooting(pot, 0, 3.0),
+                            lambda *args, **kwargs: -1.0)
+    assert got == want
+    assert got[0] == (NoBoundStateError,
+                      "no subcritical strength found below the scan start")
 
 
 # -- power iteration on a non-finite matrix -----------------------------------

@@ -121,6 +121,91 @@ def test_support_radius_respects_radius_cap():
         Potential.exponential().support_radius(1e-12, max_radius=10.0)
 
 
+def reference_tail_radius(pot, tail_tol, max_radius):
+    """The tail radius search as it was written out by hand before the shared
+    bracket-and-bisect search, kept as the reference that search must match."""
+    def excess(r):
+        return r * pot.evaluate(r) - tail_tol
+
+    lo = pot.R
+    if excess(lo) <= 0:
+        # already below at the scale radius: walk inward for a bracket
+        while lo > 1e-12 * pot.R and excess(lo) <= 0:
+            lo *= 0.5
+        if excess(lo) <= 0:
+            return pot.R
+    hi = 2.0 * lo
+    while excess(hi) > 0:
+        hi *= 2.0
+        if hi > max_radius:
+            raise TruncationError(
+                f"tail of r*v never drops below {tail_tol} within r <= {max_radius}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return hi
+
+
+def _tail_outcome(search):
+    try:
+        return search()
+    except TruncationError as exc:
+        return type(exc), str(exc)
+
+
+# (shape, tail_tol, max_radius): the doubling walk, its cap, the first
+# doubling past a cap below 2R, the inward walk (ln 2) and its exhaustion (R)
+TAIL_CASES = {
+    "exponential/1e-12": (Potential.exponential, 1e-12, 1e4),
+    "exponential/1e-13": (Potential.exponential, 1e-13, 1e4),
+    "exponential/R=2.5": (lambda: Potential.exponential(R=2.5), 1e-12, 1e4),
+    "yukawa/1e-12": (Potential.yukawa, 1e-12, 1e4),
+    "yukawa/1e-13": (Potential.yukawa, 1e-13, 1e4),
+    "yukawa/R=0.3": (lambda: Potential.yukawa(R=0.3), 1e-13, 1e4),
+    "exponential/cap": (Potential.exponential, 1e-12, 10.0),
+    "exponential/cap below 2R": (Potential.exponential, 1e-12, 1.5),
+    "yukawa/past a cap below 2R": (Potential.yukawa, 0.2, 1.5),
+    "yukawa/inward": (Potential.yukawa, 0.5, 1e4),
+    "yukawa/inward R=4": (lambda: Potential.yukawa(R=4.0), 0.125, 1e4),
+    "yukawa/exhausted": (Potential.yukawa, 2.0, 1e4),
+}
+
+
+def _traced_tail(monkeypatch, search):
+    """The outcome of search() and the radii it evaluates the shape at."""
+    radii = []
+    evaluate = Potential.evaluate
+
+    def spy(self, r):
+        radii.append(float(r))
+        return evaluate(self, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(Potential, "evaluate", spy)
+        return _tail_outcome(search), radii
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_tail_radius_matches_the_hand_written_search(monkeypatch, case):
+    make, tail_tol, max_radius = TAIL_CASES[case]
+    got, radii = _traced_tail(monkeypatch,
+                              lambda: make().support_radius(tail_tol, max_radius))
+    want, want_radii = _traced_tail(
+        monkeypatch, lambda: reference_tail_radius(make(), tail_tol, max_radius))
+    assert got == want
+    # the same radii in the same order, none of them evaluated twice
+    assert radii == list(dict.fromkeys(want_radii))
+    if case == "yukawa/inward":
+        assert math.isclose(got, math.log(2.0), rel_tol=1e-11)
+    if case == "yukawa/exhausted":
+        assert got == 1.0
+
+
 def test_regularity_builtins_pass():
     for pot in ALL_BUILTINS:
         rep = pot.validate_regularity(0.5)

@@ -191,6 +191,40 @@ def test_cli_config_errors(capsys):
                  "--methods", "variational_closed_form"]) == 2
 
 
+def _printed_row(table_id, label, cfg=None):
+    """compute_table_row as if every computed value were the printed one."""
+    return printed_values(table_id)[label]
+
+
+def test_cli_reproduce_rejects_too_few_digits_before_computing(monkeypatch, capsys):
+    rows = []
+
+    def row(table_id, label, cfg=None):
+        rows.append(label)
+        return _printed_row(table_id, label)
+
+    monkeypatch.setattr("gcrit.tables.compute_table_row", row)
+    for digits in ("-1", "0", "1"):
+        assert main(["reproduce", "--table", "1", "--digits", digits]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+    assert rows == []
+    assert main(["reproduce", "--table", "1", "--digits", "2"]) == 0
+    assert rows == list(printed_values(1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--potential", "square_well", "--methods", "bargmann_schwinger"],
+    ["reproduce", "--table", "1"]])
+def test_cli_unwritable_out_is_a_configuration_error(monkeypatch, tmp_path, capsys,
+                                                     argv):
+    monkeypatch.setattr("gcrit.tables.compute_table_row", _printed_row)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write")
+    assert str(out) in err
+
+
 def test_cli_nonconvergence_exit_code(tmp_path, capsys):
     cfg = tmp_path / "starved.ini"
     cfg.write_text(
