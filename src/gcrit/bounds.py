@@ -509,9 +509,10 @@ def sufficient_condition_holds(pot: Potential, ell: int, g: float, p: float,
 class MethodSpec:
     """One method: its side, its `gcrit compute` column and how to run it.
 
-    `run(pot, ell, cfg, n_nystrom)` names a module-level function in its
-    body, so the function is looked up at each call: a replaced module
-    attribute (a tracer's wrapper, a test's spy) reaches every caller.
+    `run(pot, ell, cfg)` names a module-level function in its body, so the
+    function is looked up at each call: a replaced module attribute (a
+    tracer's wrapper, a test's spy) reaches every caller.  The Nystrom
+    solver runs at its default node count.
     """
 
     method: Method
@@ -521,9 +522,9 @@ class MethodSpec:
     kind: Kind | None = None   # the only shape kind it applies to, if any
     rel_error: float | None = None   # stated relative error; None: 10 rel_tol
 
-    def compute(self, pot: Potential, ell: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                n_nystrom: int = 400) -> BoundResult:
-        out = self.run(pot, ell, cfg, n_nystrom)
+    def compute(self, pot: Potential, ell: int,
+                cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
+        out = self.run(pot, ell, cfg)
         if self.side is Side.EXACT:   # a solver returns the bare coupling
             return BoundResult(self.method, self.side, out, ell)
         return out
@@ -533,27 +534,27 @@ class MethodSpec:
 #: limits among them that apply to the shape, `sandwich` every general one
 METHODS = {spec.method: spec for spec in (
     MethodSpec(Method.BARGMANN_SCHWINGER, Side.LOWER, "g_BS",
-               lambda pot, ell, cfg, n: lower_bargmann_schwinger(pot, ell, cfg)),
+               lambda pot, ell, cfg: lower_bargmann_schwinger(pot, ell, cfg)),
     MethodSpec(Method.SECOND_ORDER, Side.LOWER, "g_eq2",
-               lambda pot, ell, cfg, n: lower_second_order(pot, ell, cfg)),
+               lambda pot, ell, cfg: lower_second_order(pot, ell, cfg)),
     MethodSpec(Method.THIRD_ORDER, Side.LOWER, "g_B",
-               lambda pot, ell, cfg, n: lower_third_order(pot, ell, cfg)),
+               lambda pot, ell, cfg: lower_third_order(pot, ell, cfg)),
     MethodSpec(Method.GGMT, Side.LOWER, "g_GGMT",
-               lambda pot, ell, cfg, n: lower_ggmt(pot, ell, cfg)),
+               lambda pot, ell, cfg: lower_ggmt(pot, ell, cfg)),
     MethodSpec(Method.CALOGERO_I, Side.UPPER, "g_C1",
-               lambda pot, ell, cfg, n: upper_calogero_I(pot, ell, cfg)),
+               lambda pot, ell, cfg: upper_calogero_I(pot, ell, cfg)),
     MethodSpec(Method.CALOGERO_II, Side.UPPER, "g_C2",
-               lambda pot, ell, cfg, n: upper_calogero_II(pot, ell, cfg)),
+               lambda pot, ell, cfg: upper_calogero_II(pot, ell, cfg)),
     MethodSpec(Method.VARIATIONAL, Side.UPPER, "g_New",
-               lambda pot, ell, cfg, n: upper_variational(pot, ell, cfg)),
+               lambda pot, ell, cfg: upper_variational(pot, ell, cfg)),
     MethodSpec(Method.VARIATIONAL_CLOSED_FORM, Side.UPPER, None,
-               lambda pot, ell, cfg, n: upper_variational_square_well(ell),
+               lambda pot, ell, cfg: upper_variational_square_well(ell),
                kind=Kind.SQUARE_WELL, rel_error=0.0),
     MethodSpec(Method.SHOOTING, Side.EXACT, "g_c_shoot",
-               lambda pot, ell, cfg, n: critical_coupling_shooting(pot, ell, cfg),
+               lambda pot, ell, cfg: critical_coupling_shooting(pot, ell, cfg),
                rel_error=1e-11),   # threshold root width + integrator error
     MethodSpec(Method.NYSTROM, Side.EXACT, "g_c_nystrom",
-               lambda pot, ell, cfg, n: critical_coupling_nystrom(pot, ell, n, cfg),
+               lambda pot, ell, cfg: critical_coupling_nystrom(pot, ell, cfg=cfg),
                rel_error=1e-5),    # discretization scale at the default n
 )}
 
@@ -561,6 +562,10 @@ METHODS = {spec.method: spec for spec in (
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
+
+#: relative slack of the bracketing order max lower <= exact <= min upper
+ORDERING_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SandwichReport:
@@ -592,8 +597,8 @@ class SandwichReport:
         """(weakest needed upper limit - exact) / exact."""
         return (self.min_upper - self.exact_shooting) / self.exact_shooting
 
-    def ordering_ok(self, tol: float = 1e-6) -> bool:
-        return self.lower_margin >= -tol and self.upper_margin >= -tol
+    def ordering_ok(self) -> bool:
+        return self.lower_margin >= -ORDERING_TOL and self.upper_margin >= -ORDERING_TOL
 
     def by_method(self, method: Method) -> BoundResult:
         for b in self.lowers + self.uppers:
@@ -603,19 +608,17 @@ class SandwichReport:
 
 
 def sandwich(pot: Potential, ell: int,
-             cfg: QuadratureConfig = DEFAULT_CONFIG,
-             n_nystrom: int = 400,
-             ordering_tol: float = 1e-6) -> SandwichReport:
+             cfg: QuadratureConfig = DEFAULT_CONFIG) -> SandwichReport:
     """Compute every limit plus both solvers and check the bracketing order.
 
     Raises InvariantViolation when the strongest lower limit exceeds the
-    solver value or the solver value exceeds the weakest upper limit beyond
-    the stated relative tolerance.
+    shooting value or the shooting value exceeds the weakest upper limit by
+    more than ORDERING_TOL relative.
     """
     ell = AngularMomentum(ell).ell
     t0 = time.perf_counter()
     # every method that applies to any shape, in registry order
-    results = {method: spec.compute(pot, ell, cfg, n_nystrom)
+    results = {method: spec.compute(pot, ell, cfg)
                for method, spec in METHODS.items() if spec.kind is None}
 
     def side(s):
@@ -625,7 +628,7 @@ def sandwich(pot: Potential, ell: int,
     g_nys = results[Method.NYSTROM].value
     report = SandwichReport(pot, ell, side(Side.LOWER), side(Side.UPPER),
                             g_shoot, g_nys, time.perf_counter() - t0)
-    if not report.ordering_ok(ordering_tol):
+    if not report.ordering_ok():
         raise InvariantViolation(
             f"bound ordering violated for {pot.label()} ell={ell}: "
             f"max lower {report.max_lower!r}, exact {g_shoot!r}, "

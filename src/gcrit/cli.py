@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import io
+import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import METHODS, Method, Side, sandwich
 from .errors import (AccuracyError, ConfigurationError, DegeneratePotentialError,
@@ -28,7 +28,7 @@ from .errors import (AccuracyError, ConfigurationError, DegeneratePotentialError
                      NoBoundStateError, SearchRangeError, TruncationError)
 from .potentials import SHAPES, Kind, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .tables import reproduce_table
+from .tables import render, reproduce_table
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -45,11 +45,11 @@ METHOD_NAMES = tuple(m.value for m in METHODS)
 @dataclass(frozen=True)
 class RunConfig:
     potential: Potential
-    ells: tuple[int, ...]
-    methods: tuple[str, ...]
+    ells: tuple[int, ...] = (0,)
+    methods: tuple[str, ...] = ("all",)
     fmt: str = "csv"
     digits: int = 6
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
+    quadrature: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         if not self.ells:
@@ -124,16 +124,7 @@ def render_wide(records: list[RunRecord], fmt: str, digits: int) -> str:
             cells["p*"] = num.format(rec.optimal_param)
     rows = [[str(ell)] + [by_ell[ell].get(c, "") for c in CSV_COLUMNS[1:]]
             for ell in sorted(by_ell)]
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-        return out.getvalue()
-    lines = ["| " + " | ".join(CSV_COLUMNS) + " |",
-             "|" + "---|" * len(CSV_COLUMNS)]
-    lines += ["| " + " | ".join(r) + " |" for r in rows]
-    return "\n".join(lines) + "\n"
+    return render(CSV_COLUMNS, rows, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -230,28 +221,20 @@ def _config_value(path: str, section: str, key: str, text: str, conv):
                                  f"{text!r} is not a valid value") from None
 
 
-def _merge_run_config(args) -> RunConfig:
+def _merge_run_config(args, **run_flags) -> RunConfig:
+    """The config file, overridden by the potential flags, --ell and the
+    verb's own `run_flags`; a flag left out (None) keeps the file's value,
+    and a value neither gives is the default of `build_potential` or
+    `RunConfig`."""
     opts: dict = read_config_file(args.config) if args.config else {}
-    # flags given on the command line override the config file
     flags = {"kind": args.potential or None, "R": args.R, "alpha": args.alpha,
              "shell_width": args.shell_width, "grid_csv": args.grid_csv,
-             "ells": tuple(args.ell) if args.ell else None,
-             "methods": tuple(args.methods) if args.methods else None,
-             "fmt": args.format or None, "digits": args.digits}
+             "ells": tuple(args.ell) if args.ell else None, **run_flags}
     opts.update({k: v for k, v in flags.items() if v is not None})
-    if not opts.get("kind"):
+    shape = {opt: opts.pop(opt) for _, opt, _ in _CONFIG_KEYS["potential"] if opt in opts}
+    if not shape.get("kind"):
         raise ConfigurationError("field kind: no potential given (flag or config file)")
-    potential = build_potential(opts["kind"], opts.get("R", 1.0),
-                                opts.get("alpha"), opts.get("shell_width"),
-                                opts.get("grid_csv"))
-    return RunConfig(
-        potential=potential,
-        ells=opts.get("ells", (0,)),
-        methods=opts.get("methods", ("all",)),
-        fmt=opts.get("fmt", "csv"),
-        digits=opts.get("digits", 6),
-        quadrature=opts.get("quadrature", DEFAULT_CONFIG),
-    )
+    return RunConfig(potential=build_potential(**shape), **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +242,19 @@ def _merge_run_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_compute(args) -> int:
-    config = _merge_run_config(args)
+    config = _merge_run_config(args, methods=tuple(args.methods) if args.methods else None,
+                               fmt=args.format, digits=args.digits)
+    _check_writable(args.out)
     records = run(config)
     if args.records:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["ell", "method", "value", "optimal_param",
-                         "error_estimate", "wall_time_s"])
         num = f"{{:.{config.digits}g}}"
-        for r in records:
-            writer.writerow([r.ell, r.method, num.format(r.value),
-                             "" if r.optimal_param is None else num.format(r.optimal_param),
-                             f"{r.error_estimate:.2e}", f"{r.wall_time_s:.3f}"])
-        text = out.getvalue()
+        rows = [[str(r.ell), r.method, num.format(r.value),
+                 "" if r.optimal_param is None else num.format(r.optimal_param),
+                 f"{r.error_estimate:.2e}", f"{r.wall_time_s:.3f}"] for r in records]
+        text = render(["ell", "method", "value", "optimal_param",
+                       "error_estimate", "wall_time_s"], rows, "csv")
     else:
-        fmt = "csv" if config.fmt == "csv" else "md"
-        text = render_wide(records, fmt, config.digits)
+        text = render_wide(records, config.fmt, config.digits)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -282,9 +262,9 @@ def _cmd_compute(args) -> int:
 def _cmd_reproduce(args) -> int:
     if args.digits < 2:
         raise ConfigurationError("digits must be at least 2")
+    _check_writable(args.out)
     artifact = reproduce_table(args.table)
-    fmt = args.format or "csv"
-    text = artifact.to_csv(args.digits) if fmt == "csv" else artifact.to_markdown(args.digits)
+    text = artifact.to_markdown(args.digits) if args.format == "md" else artifact.to_csv(args.digits)
     _emit(text, args.out)
     status = "PASS" if artifact.passed else "FAIL"
     errata = "".join(f"; erratum applied: {e.describe()}" for e in artifact.errata)
@@ -341,6 +321,18 @@ def _cmd_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 
+def _check_writable(out_path: str | None):
+    """Refuse an --out path that cannot be written before anything is
+    computed, without creating or truncating the file; `_emit` still maps a
+    failed write to the same error."""
+    if not out_path:
+        return
+    target = (out_path if os.path.exists(out_path)
+              else os.path.dirname(os.path.abspath(out_path)))
+    if os.path.isdir(out_path) or not os.access(target, os.W_OK):
+        raise ConfigurationError(f"cannot write {out_path!r}: not a writable file path")
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         try:
@@ -391,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the invariant suite")
     _add_potential_flags(p_check)
-    p_check.add_argument("--methods", nargs="+", help=argparse.SUPPRESS)
-    p_check.add_argument("--format", help=argparse.SUPPRESS)
-    p_check.add_argument("--digits", type=int, help=argparse.SUPPRESS)
     p_check.set_defaults(func=_cmd_check)
 
     return parser

@@ -37,6 +37,10 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 DEFAULT_LOG_STEP = 0.004
 
 _TAIL_TOL = 1e-12
+#: relative change of the Rayleigh quotient at which power iteration stops,
+#: and the iterations it may take to get there
+_POWER_TOL = 1e-12
+_POWER_MAX_ITERATIONS = 20000
 #: times the threshold scan may halve its log-step before giving up
 _SCAN_REFINEMENTS = 6
 _EDGE_NUDGE = 1e-13
@@ -179,7 +183,7 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     the upper end confirms that the bracket holds the first threshold; if
     not, the scan is repeated with a finer step, on the coefficients known.
     """
-    pot = pot.unit
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     if g_start is None:
         moment = pot.support_integral(lambda r: r * pot.evaluate(r), cfg)
         if not moment > 0:
@@ -304,8 +308,7 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
                                 lower=lower, upper=upper, diagonal=diagonal)
 
 
-def largest_eigenvalue(matrix, tol: float = 1e-12,
-                       max_iterations: int = 20000) -> float:
+def largest_eigenvalue(matrix) -> float:
     """Dominant eigenvalue of a symmetric nonnegative kernel matrix.
 
     `matrix` is an ndarray or any operator with `shape` and `@`, such as a
@@ -316,7 +319,7 @@ def largest_eigenvalue(matrix, tol: float = 1e-12,
     n = matrix.shape[0]
     b = np.full(n, 1.0 / math.sqrt(n))
     mu_old = math.inf
-    for _ in range(max_iterations):
+    for _ in range(_POWER_MAX_ITERATIONS):
         y = matrix @ b
         mu = float(b @ y)
         norm = float(np.linalg.norm(y))
@@ -326,7 +329,7 @@ def largest_eigenvalue(matrix, tol: float = 1e-12,
         if not (math.isfinite(mu) and math.isfinite(norm)):
             raise AccuracyError("power iteration produced a non-finite iterate")
         b = y / norm
-        if abs(mu - mu_old) <= tol * abs(mu):
+        if abs(mu - mu_old) <= _POWER_TOL * abs(mu):
             return mu
         mu_old = mu
     raise AccuracyError("power iteration stagnated before reaching tolerance")

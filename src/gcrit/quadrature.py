@@ -86,14 +86,10 @@ class QuadratureConfig:
         if not self.max_radius > 0:
             raise ConfigurationError("max_radius must be positive")
 
-    def loosened(self, rel_tol=None, max_subdivisions=None):
+    def loosened(self, rel_tol, max_subdivisions):
         """A copy with relaxed settings, used during parameter searches."""
-        return replace(
-            self,
-            rel_tol=max(self.rel_tol, rel_tol or self.rel_tol),
-            max_subdivisions=min(self.max_subdivisions,
-                                 max_subdivisions or self.max_subdivisions),
-        )
+        return replace(self, rel_tol=max(self.rel_tol, rel_tol),
+                       max_subdivisions=min(self.max_subdivisions, max_subdivisions))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -357,14 +353,9 @@ class CumulativeIntegral:
         self._w = w
         self.lo = float(lo)
         self.hi = float(hi)
-        panels, value, error, evals = _adaptive(w, lo, hi, cfg, points)
-        self.total = value
-        self.error_estimate = error
-        self.evaluations = evals
+        panels, _, _, self.evaluations = _adaptive(w, lo, hi, cfg, points)
         self._lefts = np.array([p[0] for p in panels])
-        self._rights = np.array([p[1] for p in panels])
-        prefix = np.concatenate([[0.0], np.cumsum([p[2] for p in panels])])
-        self._prefix = prefix
+        self._prefix = np.concatenate([[0.0], np.cumsum([p[2] for p in panels])])
 
     def __call__(self, x, *, runs=None):
         """C at x.  `runs` splits a 1-d x into consecutive runs (their

@@ -19,6 +19,7 @@ with mpmath and fails if the erratum is removed, wrong or no longer needed.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
@@ -108,6 +109,18 @@ def printed_values(table_id: int) -> dict:
     return dict(_SPECS[table_id][2])
 
 
+def render(header, rows, fmt: str) -> str:
+    """A table of string cells, one newline-terminated line per row: CSV
+    when `fmt` is "csv", else markdown.  Every table gcrit prints is this."""
+    if fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+        return out.getvalue()
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(r) + " |" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class TableArtifact:
     """Computed and published grids of one table.
@@ -139,39 +152,36 @@ class TableArtifact:
         return self.computed[i][j]
 
     def to_csv(self, digits: int = 6) -> str:
-        out = io.StringIO()
         fmt = f"{{:.{digits}g}}"
         header = [self.row_label]
         for c in self.columns:
             header += [f"{c}_computed", f"{c}_printed", f"{c}_rel_dev"]
-        out.write(",".join(header) + "\n")
+        rows = []
         for lbl, comp, prt, dev in zip(self.row_labels, self.computed,
                                        self.printed, self.deviations):
             cells = [fmt.format(lbl)]
             for c, p, d in zip(comp, prt, dev):
                 cells += [fmt.format(c), fmt.format(p), f"{d:.2e}"]
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+            rows.append(cells)
+        return render(header, rows, "csv")
 
     def to_markdown(self, digits: int = 6) -> str:
         fmt = f"{{:.{digits}g}}"
         header = [self.row_label] + [f"{c} (dev)" for c in self.columns]
-        lines = [f"### Table {self.table_id}: {self.title} "
-                 f"[{'PASS' if self.passed else 'FAIL'}]",
-                 "| " + " | ".join(header) + " |",
-                 "|" + "---|" * len(header)]
         marks = {(e.label, e.column): f" [{n}]"
                  for n, e in enumerate(self.errata, 1)}
+        rows = []
         for lbl, comp, dev in zip(self.row_labels, self.computed, self.deviations):
             cells = [fmt.format(lbl)]
             cells += [f"{fmt.format(c)} ({d:.1e}){marks.get((lbl, col), '')}"
                       for col, c, d in zip(self.columns, comp, dev)]
-            lines.append("| " + " | ".join(cells) + " |")
+            rows.append(cells)
+        text = (f"### Table {self.table_id}: {self.title} "
+                f"[{'PASS' if self.passed else 'FAIL'}]\n" + render(header, rows, "md"))
         if self.errata:
-            lines.append("")
-            lines += [f"[{n}] erratum: {e.describe()}"
-                      for n, e in enumerate(self.errata, 1)]
-        return "\n".join(lines) + "\n"
+            text += "\n" + "".join(f"[{n}] erratum: {e.describe()}\n"
+                                   for n, e in enumerate(self.errata, 1))
+        return text
 
 
 def compute_table_row(table_id: int, label: float,

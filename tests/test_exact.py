@@ -133,6 +133,15 @@ def test_kernel_discretization_structure():
         kernel_discretization(Potential.yukawa(), 0, 4)
 
 
+@pytest.mark.parametrize("solver", [critical_coupling_shooting, critical_coupling_nystrom])
+@pytest.mark.parametrize("ell", [-1, 1.5])
+def test_solvers_reject_an_invalid_ell_by_name(solver, ell):
+    # the shooting solver's start strength (2l+1)/moment is negative at
+    # l = -1; the error must still name l, not the strength
+    with pytest.raises(DomainError, match=r"ell must be a nonnegative integer"):
+        solver(Potential.exponential(), ell)
+
+
 def test_power_iteration_known_matrix():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert math.isclose(largest_eigenvalue(m), 3.0, rel_tol=1e-12)

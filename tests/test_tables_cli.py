@@ -1,12 +1,15 @@
+import csv
+import io
 import math
 import warnings
 
 import pytest
 
 from gcrit import bounds
-from gcrit.bounds import sandwich
-from gcrit.cli import (CSV_COLUMNS, METHOD_NAMES, RunConfig, build_potential,
-                       expand_methods, load_grid_csv, main, render_wide, run)
+from gcrit.bounds import METHODS, Method, sandwich
+from gcrit.cli import (CSV_COLUMNS, METHOD_NAMES, RunConfig, RunRecord,
+                       build_potential, expand_methods, load_grid_csv, main,
+                       render_wide, run)
 from gcrit.errors import ConfigurationError
 from gcrit.potentials import Potential
 from gcrit.tables import compute_table_row, printed_values, reproduce_table
@@ -217,12 +220,48 @@ def test_cli_reproduce_rejects_too_few_digits_before_computing(monkeypatch, caps
     ["reproduce", "--table", "1"]])
 def test_cli_unwritable_out_is_a_configuration_error(monkeypatch, tmp_path, capsys,
                                                      argv):
-    monkeypatch.setattr("gcrit.tables.compute_table_row", _printed_row)
+    computed = []
+
+    def row(table_id, label, cfg=None):
+        computed.append(label)
+        return _printed_row(table_id, label)
+
+    def lower(*args, _real=bounds.lower_bargmann_schwinger):
+        computed.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr("gcrit.tables.compute_table_row", row)
+    monkeypatch.setattr(bounds, "lower_bargmann_schwinger", lower)
     out = tmp_path / "missing" / "x.csv"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cannot write")
     assert str(out) in err
+    assert main(argv + ["--out", str(tmp_path)]) == 2   # a directory
+    assert capsys.readouterr().err.startswith("configuration error: cannot write")
+    assert computed == []
+    # a path whose parent is a file passes the check and fails only when
+    # written, where the write error maps to the same exit
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(argv + ["--out", str(blocker / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot write")
+    assert computed
+
+
+def test_cli_out_check_leaves_the_file_alone(tmp_path, capsys):
+    # the run fails after the --out check: an existing file keeps its
+    # content and a new one is not created
+    cfg = tmp_path / "starved.ini"
+    cfg.write_text("[potential]\nkind = yukawa\n\n[run]\nmethods = bargmann_schwinger\n\n"
+                   "[quadrature]\nmax_subdivisions = 1\n")
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier\n")
+    for out in (kept, tmp_path / "new.csv"):
+        assert main(["compute", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numerical error" in capsys.readouterr().err
+    assert kept.read_text() == "earlier\n"
+    assert not (tmp_path / "new.csv").exists()
 
 
 def test_cli_nonconvergence_exit_code(tmp_path, capsys):
@@ -358,3 +397,147 @@ def test_cli_malformed_config_is_a_configuration_error(tmp_path, capsys, ini,
     assert err.startswith("configuration error:")
     assert named in err
     assert "Traceback" not in err
+
+
+def test_check_defines_no_run_flags(tmp_path, capsys):
+    # --methods, --format and --digits belong to compute; check refuses them
+    for flag, value in (("--methods", "all"), ("--format", "md"), ("--digits", "4")):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--potential", "square_well", flag, value])
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    # a config file's [run] section still configures check
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[potential]\nkind = square_well\n\n"
+                   "[run]\nell = 1\nmethods = ggmt\nformat = md\ndigits = 4\n")
+    assert main(["check", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "square_well" in out and "ell=1" in out and "FAIL" not in out
+
+
+# -- the one table renderer against the writers it replaced --------------------
+
+def reference_render_wide(records, fmt, digits):
+    """cli.render_wide as first written, with its own CSV and markdown."""
+    num = f"{{:.{digits}g}}"
+    by_ell = {}
+    for rec in records:
+        col = METHODS[Method(rec.method)].column
+        if col is None:
+            continue
+        cells = by_ell.setdefault(rec.ell, {})
+        cells[col] = num.format(rec.value)
+        if rec.method == Method.VARIATIONAL and rec.optimal_param is not None:
+            cells["p*"] = num.format(rec.optimal_param)
+    rows = [[str(ell)] + [by_ell[ell].get(c, "") for c in CSV_COLUMNS[1:]]
+            for ell in sorted(by_ell)]
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows)
+        return out.getvalue()
+    lines = ["| " + " | ".join(CSV_COLUMNS) + " |",
+             "|" + "---|" * len(CSV_COLUMNS)]
+    lines += ["| " + " | ".join(r) + " |" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_records(records, digits):
+    """The `gcrit compute --records` writer as first written."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["ell", "method", "value", "optimal_param",
+                     "error_estimate", "wall_time_s"])
+    num = f"{{:.{digits}g}}"
+    for r in records:
+        writer.writerow([r.ell, r.method, num.format(r.value),
+                         "" if r.optimal_param is None else num.format(r.optimal_param),
+                         f"{r.error_estimate:.2e}", f"{r.wall_time_s:.3f}"])
+    return out.getvalue()
+
+
+def reference_to_csv(art, digits):
+    """TableArtifact.to_csv as first written."""
+    out = io.StringIO()
+    fmt = f"{{:.{digits}g}}"
+    header = [art.row_label]
+    for c in art.columns:
+        header += [f"{c}_computed", f"{c}_printed", f"{c}_rel_dev"]
+    out.write(",".join(header) + "\n")
+    for lbl, comp, prt, dev in zip(art.row_labels, art.computed,
+                                   art.printed, art.deviations):
+        cells = [fmt.format(lbl)]
+        for c, p, d in zip(comp, prt, dev):
+            cells += [fmt.format(c), fmt.format(p), f"{d:.2e}"]
+        out.write(",".join(cells) + "\n")
+    return out.getvalue()
+
+
+def reference_to_markdown(art, digits):
+    """TableArtifact.to_markdown as first written."""
+    fmt = f"{{:.{digits}g}}"
+    header = [art.row_label] + [f"{c} (dev)" for c in art.columns]
+    lines = [f"### Table {art.table_id}: {art.title} "
+             f"[{'PASS' if art.passed else 'FAIL'}]",
+             "| " + " | ".join(header) + " |",
+             "|" + "---|" * len(header)]
+    marks = {(e.label, e.column): f" [{n}]"
+             for n, e in enumerate(art.errata, 1)}
+    for lbl, comp, dev in zip(art.row_labels, art.computed, art.deviations):
+        cells = [fmt.format(lbl)]
+        cells += [f"{fmt.format(c)} ({d:.1e}){marks.get((lbl, col), '')}"
+                  for col, c, d in zip(art.columns, comp, dev)]
+        lines.append("| " + " | ".join(cells) + " |")
+    if art.errata:
+        lines.append("")
+        lines += [f"[{n}] erratum: {e.describe()}"
+                  for n, e in enumerate(art.errata, 1)]
+    return "\n".join(lines) + "\n"
+
+
+#: ell 0 has every column but g_eq2 and a p*, ell 1 a variational bound
+#: without one and a closed form (no column), ell 3 a single solver value;
+#: the values span digits that --digits 2..8 round differently
+RECORDS = [
+    RunRecord(0, "bargmann_schwinger", 2.0, None, 2e-9, 0.0012),
+    RunRecord(0, "variational", 2.47466291, 1.23456789, 2.5e-9, 1.25),
+    RunRecord(0, "calogero_ii", 123456.789, 0.5, 1.2e-4, 0.0),
+    RunRecord(0, "shooting", 2.4674011, None, 2.5e-11, 0.031),
+    RunRecord(0, "nystrom", 2.46740115, None, 2.5e-5, 0.004),
+    RunRecord(1, "variational", 9.99340001, None, 1e-8, 0.0005),
+    RunRecord(1, "variational_closed_form", 9.9934, None, 0.0, 0.0),
+    RunRecord(1, "ggmt", 0.000123456789, None, 1.3e-15, 12.3456),
+    RunRecord(3, "nystrom", 33.2174, None, 3.3e-4, 0.0),
+]
+
+
+@pytest.mark.parametrize("digits", [2, 6, 8])
+def test_compute_output_matches_the_reference_writers(monkeypatch, capsys, digits):
+    monkeypatch.setattr("gcrit.cli.run", lambda config: RECORDS)
+    argv = ["compute", "--potential", "square_well", "--digits", str(digits)]
+    for fmt in ("csv", "md"):
+        assert render_wide(RECORDS, fmt, digits) == reference_render_wide(RECORDS, fmt, digits)
+        assert main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == reference_render_wide(RECORDS, fmt, digits)
+    assert main(argv + ["--records"]) == 0
+    assert capsys.readouterr().out == reference_records(RECORDS, digits)
+
+
+@pytest.mark.parametrize("digits", [2, 6, 8])
+def test_table_artifacts_match_the_reference_writers(monkeypatch, capsys, digits):
+    def row(table_id, label, cfg=None):
+        values = printed_values(table_id)[label]
+        return values[:7] + (4.3968075,) if (table_id, label) == (2, 3) else values
+
+    monkeypatch.setattr("gcrit.tables.compute_table_row", row)
+    for table_id in (1, 2):
+        art = reproduce_table(table_id)
+        assert bool(art.errata) == (table_id == 2)
+        assert art.to_csv(digits) == reference_to_csv(art, digits)
+        assert art.to_markdown(digits) == reference_to_markdown(art, digits)
+        argv = ["reproduce", "--table", str(table_id), "--digits", str(digits)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == reference_to_csv(art, digits)
+        assert main(argv + ["--format", "md"]) == 0
+        assert capsys.readouterr().out == reference_to_markdown(art, digits)
