@@ -194,7 +194,9 @@ _CONFIG_KEYS = {
 }
 
 
-def read_config_file(path: str) -> dict:
+def read_config_file(path: str, skip: tuple[str, ...] = ()) -> dict:
+    """The recognized keys of the file by option name, parsed; the options
+    in `skip` are neither parsed nor returned."""
     parser = configparser.ConfigParser()
     sections = {}
     try:
@@ -204,7 +206,8 @@ def read_config_file(path: str) -> dict:
             if parser.has_section(name):
                 sec = parser[name]
                 sections[name] = {opt: _config_value(path, name, key, sec[key], conv)
-                                  for key, opt, conv in keys if key in sec}
+                                  for key, opt, conv in keys
+                                  if key in sec and opt not in skip}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {path!r}: {exc}") from None
     out = {**sections.get("potential", {}), **sections.get("run", {})}
@@ -221,12 +224,13 @@ def _config_value(path: str, section: str, key: str, text: str, conv):
                                  f"{text!r} is not a valid value") from None
 
 
-def _merge_run_config(args, **run_flags) -> RunConfig:
+def _merge_run_config(args, skip: tuple[str, ...] = (), **run_flags) -> RunConfig:
     """The config file, overridden by the potential flags, --ell and the
     verb's own `run_flags`; a flag left out (None) keeps the file's value,
     and a value neither gives is the default of `build_potential` or
-    `RunConfig`."""
-    opts: dict = read_config_file(args.config) if args.config else {}
+    `RunConfig`.  The file's values of the options in `skip`, which the
+    verb does not use, are not read."""
+    opts: dict = read_config_file(args.config, skip) if args.config else {}
     flags = {"kind": args.potential or None, "R": args.R, "alpha": args.alpha,
              "shell_width": args.shell_width, "grid_csv": args.grid_csv,
              "ells": tuple(args.ell) if args.ell else None, **run_flags}
@@ -252,7 +256,7 @@ def _cmd_compute(args) -> int:
                  "" if r.optimal_param is None else num.format(r.optimal_param),
                  f"{r.error_estimate:.2e}", f"{r.wall_time_s:.3f}"] for r in records]
         text = render(["ell", "method", "value", "optimal_param",
-                       "error_estimate", "wall_time_s"], rows, "csv")
+                       "error_estimate", "wall_time_s"], rows, config.fmt)
     else:
         text = render_wide(records, config.fmt, config.digits)
     _emit(text, args.out)
@@ -275,7 +279,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.config or args.potential:
-        config = _merge_run_config(args)
+        config = _merge_run_config(args, skip=("methods", "fmt", "digits"))
         potentials = [config.potential]
         ells = config.ells
     else:

@@ -194,7 +194,8 @@ def reference_integrate_log_radial(pot, ell, g, cfg=DEFAULT_CONFIG,
                                    log_step=DEFAULT_LOG_STEP):
     """The RK4 loop on numpy scalars, indexed per step, as first written.
 
-    Returns (w, w', s_end, number of renormalizations).
+    Returns (w, w', s_end, number of renormalizations, sign changes of w
+    between the grid points).
     """
     if not g > 0:
         raise DomainError("strength g must be positive")
@@ -202,7 +203,7 @@ def reference_integrate_log_radial(pot, ell, g, cfg=DEFAULT_CONFIG,
     pts = _segment_radii(pot, cfg.max_radius)
     s_pts = [math.log(p) for p in pts]
     w, dw = 1.0, L
-    renormalized = 0
+    renormalized = nodes = 0
     for i in range(len(pts) - 1):
         sa, sb = s_pts[i], s_pts[i + 1]
         n = max(8, math.ceil((sb - sa) / log_step))
@@ -228,7 +229,9 @@ def reference_integrate_log_radial(pot, ell, g, cfg=DEFAULT_CONFIG,
             elif not math.isfinite(scale):
                 raise IntegrationError(
                     f"shooting state became non-finite at g={g!r}")
-    return w, dw, s_pts[-1], renormalized
+            if (w < 0.0) != (nodes & 1):
+                nodes += 1
+    return w, dw, s_pts[-1], renormalized, nodes
 
 
 def reference_kernel_matrix(pot, ell, n, cfg=DEFAULT_CONFIG):
@@ -256,26 +259,63 @@ def reference_kernel_matrix(pot, ell, n, cfg=DEFAULT_CONFIG):
     return matrix
 
 
+#: strengths, in units of g_c, at which the product must match the loop; the
+#: root itself is left out: there the normalized coefficient swings from
+#: about +2 to -2 within a relative 1e-15 of g, so rounding moves it by up
+#: to 1.7e-5 (the exponential at l = 5) without moving the root
+PRODUCT_STRENGTHS = (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)
+#: absolute error allowed to the normalized coefficient and state off the
+#: root: the product rounds in another order than the loop (3.6e-13
+#: measured, the tabulated shape at l = 5 and 0.999 g_c)
+PRODUCT_ATOL = 1e-12
+
+
+def _normalized(w, dw):
+    scale = max(abs(w), abs(dw), 1e-300)
+    return w / scale, dw / scale
+
+
+def _reference_coefficient(pot, ell, g):
+    w, dw = _normalized(*reference_integrate_log_radial(pot, ell, g)[:2])
+    return dw + (ell + 0.5) * w
+
+
+# the shooting integration, once a loop on Python floats and now a product of
+# RK4 step matrices, against the same steps on numpy scalars
 @pytest.mark.parametrize("ell", FROZEN_ELLS)
 @pytest.mark.parametrize("name", sorted(SHAPES))
-def test_float_rk4_loop_matches_numpy_scalar_loop(name, ell):
+def test_float_rk4_loop_matches_numpy_scalar_loop(monkeypatch, name, ell):
     pot = SHAPES[name]
-    g_c = critical_coupling_shooting(pot, ell)
     L = ell + 0.5
-    for g in (0.5 * g_c, g_c, 2.0 * g_c):
-        w, dw, s_end, renormalized = reference_integrate_log_radial(pot, ell, g)
+    brackets = []
+
+    def polish(f, a, b, **kw):
+        brackets.append((a, b, kw))
+        return brentq(f, a, b, **kw)
+
+    monkeypatch.setattr(exact, "brentq", polish)
+    g_c = critical_coupling_shooting(pot, ell)
+    for g in (f * g_c for f in PRODUCT_STRENGTHS):
+        w, dw, s_end, renormalized, nodes = reference_integrate_log_radial(pot, ell, g)
         if ell == FROZEN_ELLS[-1]:
             assert renormalized > 0
-        assert _integrate_log_radial(pot, ell, g, DEFAULT_CONFIG,
-                                     DEFAULT_LOG_STEP)[:3] == (w, dw, s_end)
-        assert shoot_zero_energy(pot, ell, g) == \
-            (dw + L * w) / max(abs(w), abs(dw), 1e-300)
-        scale = max(abs(w), abs(dw), 1e-300)
-        half = math.exp(0.5 * s_end)
+        got = _integrate_log_radial(pot, ell, g, DEFAULT_CONFIG,
+                                    DEFAULT_LOG_STEP, count_nodes=True)
+        assert got[2] == s_end
+        assert got[3] == nodes
+        w_n, dw_n = _normalized(w, dw)
+        assert abs(shoot_zero_energy(pot, ell, g) - (dw_n + L * w_n)) <= PRODUCT_ATOL
+        # u = e^(s/2) w and u' = e^(-s/2) (w' + w/2), with w, w' normalized
         state = zero_energy_state(pot, ell, g)
-        assert (state.r, state.u, state.du) == (
-            math.exp(s_end), half * (w / scale),
-            (dw / scale + 0.5 * (w / scale)) / half)
+        half = math.exp(0.5 * s_end)
+        assert state.r == math.exp(s_end)
+        assert abs(state.u / half - w_n) <= PRODUCT_ATOL
+        assert abs(state.du * half - 0.5 * state.u / half - dw_n) <= PRODUCT_ATOL
+    # the loop's root from the solve's own bracket: at l = 60 the exponential
+    # and the tabulated shape move it by 8e-13, within the polish's rtol
+    (a, b, kw), = brackets
+    want = brentq(lambda g: _reference_coefficient(pot, ell, g), a, b, **kw)
+    assert abs(g_c / want - 1.0) <= (1e-12 if ell > 5 else 1e-14)
 
 
 def test_float_rk4_loop_overflow_raises_like_numpy_scalar_loop():

@@ -149,6 +149,15 @@ def test_cli_records_format(capsys):
     assert "bargmann_schwinger" in out
 
 
+def test_cli_records_markdown_format(capsys):
+    assert main(["compute", "--potential", "square_well", "--ell", "0",
+                 "--methods", "bargmann_schwinger", "--records", "--format", "md"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("| ell | method | value | optimal_param | error_estimate"
+                        " | wall_time_s |")
+    assert lines[2].startswith("| 0 | bargmann_schwinger |")
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -413,6 +422,19 @@ def test_check_defines_no_run_flags(tmp_path, capsys):
     assert main(["check", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "square_well" in out and "ell=1" in out and "FAIL" not in out
+
+
+def test_check_config_reads_only_what_check_uses(tmp_path, capsys):
+    # methods, format and digits configure compute; check neither reads nor
+    # rejects them
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[potential]\nkind = square_well\n\n"
+                   "[run]\nell = 0\nmethods = nope\nformat = html\ndigits = x\n")
+    assert main(["check", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "ell=0" in captured.out and "FAIL" not in captured.out
+    assert captured.err == ""
+    assert main(["compute", "--config", str(cfg)]) == 2
 
 
 # -- the one table renderer against the writers it replaced --------------------
