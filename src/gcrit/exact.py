@@ -34,7 +34,7 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 #: default step of the log-radius RK4 grid; 0.004 keeps the threshold within
 #: 6e-10 relative of the closed forms for l <= 5 (1e-12 to 1.5e-11 at l = 0)
-#: at 0.45-0.7 ms per trial strength, 4-50 ms per solve (built-in shapes,
+#: at 0.3-0.5 ms per trial strength, 3.5-30 ms per solve (built-in shapes,
 #: l <= 5, one core of a 2-CPU box)
 DEFAULT_LOG_STEP = 0.004
 
@@ -126,19 +126,41 @@ def zero_energy_state(pot: Potential, ell: int, g: float,
                          du=(dw + 0.5 * w) / half)
 
 
-class _LogGrid(NamedTuple):
-    """The g-independent part of a shot: r^2 and v(r) at the start, midpoint
-    and end of each RK4 step (rows 0, 1, 2, one column per step), the step
-    in log-radius, and the log of the matching radius."""
+class _StepPolynomial(NamedTuple):
+    """The g-independent part of a shot: the RK4 map of step k is the 2x2
+    matrix coeffs[0, :, :, k] + gamma (coeffs[1, :, :, k] + gamma
+    coeffs[2, :, :, k]) of the scaled strength gamma = g kappa, and s_end is
+    the log of the matching radius."""
 
-    r2: np.ndarray
-    v: np.ndarray
-    h: np.ndarray
+    coeffs: np.ndarray
+    kappa: float
     s_end: float
 
+    def matrices(self, g: float) -> np.ndarray:
+        """The step maps at strength g, m[:, :, k] taking (w, w') before
+        step k to after it."""
+        gamma = g * self.kappa
+        m = gamma * self.coeffs[2]
+        m += self.coeffs[1]
+        m *= gamma
+        m += self.coeffs[0]
+        return m
 
-def _build_log_grid(pot: Potential, max_radius: float,
-                    log_step: float) -> _LogGrid:
+
+def _build_step_polynomial(pot: Potential, max_radius: float, log_step: float,
+                           ell: int) -> _StepPolynomial:
+    """The step maps of w'' = q w with q = L^2 - g r^2 v, expanded in g.
+
+    The k1..k4 stages of a step with q0, qh, q1 at its start, midpoint and
+    end take (w, w') to [[a, b], [c, d]] (w, w'), where, with e = h^2/4,
+
+        a = 1 + (h^2/6)(q0 + 2 qh + e q0 qh),      b = h + (h^3/6) qh,
+        c = (h/6)(q0 + 4 qh + q1 + 2e (q0 qh + qh q1)),
+        d = 1 + (h^2/6)(2 qh + q1 + e qh q1),
+
+    quadratic in g since each q is affine in it.  r^2 v enters divided by
+    its largest value kappa, so the products of two of its values neither
+    overflow nor underflow whatever the magnitude of the shape."""
     pts = _segment_radii(pot, max_radius)
     s_pts = [math.log(p) for p in pts]
     r_steps, h_steps = [], []
@@ -154,41 +176,43 @@ def _build_log_grid(pot: Potential, max_radius: float,
         r_steps.append(np.stack([r[0:-1:2], r[1::2], r[2::2]]))
         h_steps.append(np.full(n, h))
     r = np.concatenate(r_steps, axis=1)
-    return _LogGrid(r2=r ** 2, v=pot.evaluate(r), h=np.concatenate(h_steps),
-                    s_end=s_pts[-1])
+    h = np.concatenate(h_steps)
+    # r^2 v = inf leaves kappa = inf and NaN coefficients, which the shot
+    # reports as a non-finite state
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2v = r ** 2 * pot.evaluate(r)
+        kappa = float(r2v.max()) or 1.0
+        c0, ch, c1 = r2v / kappa
+        P = AngularMomentum(ell).L ** 2
+        e, s, t = 0.25 * h * h, h * h / 6.0, h / 6.0
+        one = 1.0 + s * (3.0 * P + e * P * P)
+        coeffs = np.array([
+            [[one, h + h * s * P],
+             [t * (6.0 * P + 4.0 * e * P * P), one]],
+            [[-s * (c0 + 2.0 * ch + e * P * (c0 + ch)), -h * s * ch],
+             [-t * (c0 + 4.0 * ch + c1 + 2.0 * e * P * (c0 + 2.0 * ch + c1)),
+              -s * (2.0 * ch + c1 + e * P * (ch + c1))]],
+            [[s * e * c0 * ch, np.zeros_like(h)],
+             [t * 2.0 * e * ch * (c0 + c1), s * e * ch * c1]],
+        ])
+    return _StepPolynomial(coeffs=coeffs, kappa=kappa, s_end=s_pts[-1])
 
 
-#: the grids of the shooting solve in progress, by (shape, max_radius,
-#: log_step); None outside a solve, where every shot builds its own
+#: the step polynomials of the shooting solve in progress, by (shape,
+#: max_radius, log_step, l); None outside a solve, where every shot builds
+#: its own
 _solve_grids: ContextVar[dict | None] = ContextVar("_solve_grids", default=None)
 
 
-def _log_grid(pot: Potential, max_radius: float, log_step: float) -> _LogGrid:
-    grids = _solve_grids.get()
-    if grids is None:
-        return _build_log_grid(pot, max_radius, log_step)
-    key = (pot, max_radius, log_step)
-    if key not in grids:
-        grids[key] = _build_log_grid(pot, max_radius, log_step)
-    return grids[key]
-
-
-def _step_matrices(q: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The RK4 step maps of w'' = q w, m[:, :, k] taking (w, w') before step
-    k to after it: the k1..k4 stages applied to each basis vector."""
-    q0, qh, q1 = q
-    half, sixth = 0.5 * h, h / 6.0
-
-    def step(w, dw):
-        k1w, k1d = dw, q0 * w
-        k2w, k2d = dw + half * k1d, qh * (w + half * k1w)
-        k3w, k3d = dw + half * k2d, qh * (w + half * k2w)
-        k4w, k4d = dw + h * k3d, q1 * (w + h * k3w)
-        return (w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w),
-                dw + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d))
-
-    (a, c), (b, d) = step(1.0, 0.0), step(0.0, 1.0)
-    return np.array([[a, b], [c, d]])
+def _step_polynomial(pot: Potential, max_radius: float, log_step: float,
+                     ell: int) -> _StepPolynomial:
+    polys = _solve_grids.get()
+    if polys is None:
+        return _build_step_polynomial(pot, max_radius, log_step, ell)
+    key = (pot, max_radius, log_step, ell)
+    if key not in polys:
+        polys[key] = _build_step_polynomial(pot, max_radius, log_step, ell)
+    return polys[key]
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -229,18 +253,19 @@ def _integrate_log_radial(pot: Potential, ell: int, g: float,
     log-radius, and the sign changes of w between the grid points on the
     way (0 unless count_nodes).
 
-    The equation is linear, so each RK4 step is a 2x2 matrix of its q
-    values and h, and the end state is their product applied to the start
-    (1, L).  All steps are built at once and multiplied pairwise: 0.45-0.7
-    ms per shot for the 3,450-5,540 steps of a built-in shape, and 0.9-1.6
+    The equation is linear, so each RK4 step is a 2x2 matrix, quadratic in
+    g, and the end state is their product applied to the start (1, L).  The
+    matrices' coefficients are built once per solve (per shot outside one);
+    a shot evaluates all steps at once and multiplies them pairwise: 0.3-0.5
+    ms per shot for the 3,450-5,540 steps of a built-in shape, and 0.85-1.6
     ms with the node count's prefix products (one core of a 2-CPU box).
     """
     if not g > 0:
         raise DomainError("strength g must be positive")
     L = AngularMomentum(ell).L
-    grid = _log_grid(pot, cfg.max_radius, log_step)
+    poly = _step_polynomial(pot, cfg.max_radius, log_step, ell)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _step_matrices(L * L - g * grid.r2 * grid.v, grid.h)
+        m = poly.matrices(g)
         finite = np.isfinite(m).all()
         if finite:
             m = _prefix_products(m) if count_nodes else _product(m)
@@ -254,7 +279,7 @@ def _integrate_log_radial(pot: Potential, ell: int, g: float,
         # w starts positive; count the changes of its sign class step by step
         negative = np.concatenate([[False], w < 0.0])
         nodes = int(np.count_nonzero(negative[1:] != negative[:-1]))
-    return float(w[-1]), float(dw[-1]), grid.s_end, nodes
+    return float(w[-1]), float(dw[-1]), poly.s_end, nodes
 
 
 def critical_coupling_shooting(pot: Potential, ell: int,
@@ -286,7 +311,8 @@ def critical_coupling_shooting(pot: Potential, ell: int,
 
     cap = g_start * 1e4
     factor = 1.25
-    # every shot of the solve shares one grid, dropped when the solve ends
+    # every shot of the solve shares one step polynomial, dropped when the
+    # solve ends
     token = _solve_grids.set({})
     try:
         for _ in range(_SCAN_REFINEMENTS + 1):
@@ -302,8 +328,10 @@ def critical_coupling_shooting(pot: Potential, ell: int,
             # wider than the gap between thresholds can skip the first two
             if _integrate_log_radial(pot, ell, b, cfg, log_step,
                                      count_nodes=True)[3] <= 1:
-                # brentq starts by evaluating both ends, which the scan has done
-                return brentq(coeff, a, b, rtol=1e-12, xtol=1e-300)
+                # brentq starts by evaluating both ends, which the scan has
+                # done; its tolerance is about xtol + rtol |g|, and only the
+                # smallest float as xtol leaves rtol in charge down to 1e-300
+                return brentq(coeff, a, b, rtol=1e-12, xtol=5e-324)
             factor = math.sqrt(factor)
         # every scan starts upward from the lowest strength tried
         raise AccuracyError(

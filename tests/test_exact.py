@@ -172,10 +172,10 @@ def test_nystrom_memory_is_linear_in_node_count():
 
 # -- freeze-then-verify: the float RK4 loop and the kernel operator ---------
 
-def _tabulated_28():
+def _tabulated_28(scale=1.0):
     radii = np.linspace(0.05, 2.0, 28)
     values = np.exp(-radii ** 2) * (1.0 + 0.3 * np.sin(3.0 * radii))
-    return Potential.tabulated(list(zip(radii, values)))
+    return Potential.tabulated(list(zip(radii, scale * values)))
 
 
 SHAPES = {
@@ -326,6 +326,84 @@ def test_float_rk4_loop_overflow_raises_like_numpy_scalar_loop():
     with pytest.raises(IntegrationError) as got:
         shoot_zero_energy(pot, 0, 1.0)
     assert str(got.value) == str(ref.value)
+
+
+def reference_step_matrices(q, h):
+    """The RK4 step maps of w'' = q w, m[:, :, k] taking (w, w') before step
+    k to after it: the k1..k4 stages applied to each basis vector, as the
+    shooting solver built them from q before expanding them in g."""
+    q0, qh, q1 = q
+    half, sixth = 0.5 * h, h / 6.0
+
+    def step(w, dw):
+        k1w, k1d = dw, q0 * w
+        k2w, k2d = dw + half * k1d, qh * (w + half * k1w)
+        k3w, k3d = dw + half * k2d, qh * (w + half * k2w)
+        k4w, k4d = dw + h * k3d, q1 * (w + h * k3w)
+        return (w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w),
+                dw + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d))
+
+    (a, c), (b, d) = step(1.0, 0.0), step(0.0, 1.0)
+    return np.array([[a, b], [c, d]])
+
+
+def reference_log_grid(pot, cfg=DEFAULT_CONFIG, log_step=DEFAULT_LOG_STEP):
+    """The radii at the start, midpoint and end of every RK4 step (rows 0,
+    1, 2) and the steps in log-radius, segment by segment."""
+    pts = _segment_radii(pot, cfg.max_radius)
+    s_pts = [math.log(p) for p in pts]
+    radii, steps = [], []
+    for i in range(len(pts) - 1):
+        sa, sb = s_pts[i], s_pts[i + 1]
+        n = max(8, math.ceil((sb - sa) / log_step))
+        h = (sb - sa) / n
+        r = np.exp(sa + h * np.arange(2 * n + 1) / 2.0)
+        r[0] = pts[i] * (1.0 + _EDGE_NUDGE)
+        r[-1] = pts[i + 1] * (1.0 - _EDGE_NUDGE)
+        radii.append(np.stack([r[0:-1:2], r[1::2], r[2::2]]))
+        steps.append(np.full(n, h))
+    return np.concatenate(radii, axis=1), np.concatenate(steps)
+
+
+#: every shape, and the 28-knot grid scaled to the ends of the float range,
+#: where the square of r^2 v overflows or underflows unless it is scaled
+STEP_CASES = [(name, 1.0) for name in sorted(SHAPES)] + [
+    ("tabulated28", 1e-300), ("tabulated28", 1e300)]
+
+
+# the step maps as quadratics in the scaled strength against the stage
+# formulas at the same strength
+@pytest.mark.parametrize("ell", FROZEN_ELLS)
+@pytest.mark.parametrize("name, scale", STEP_CASES)
+def test_step_polynomial_matches_stage_formulas(name, scale, ell):
+    pot = _tabulated_28(scale) if scale != 1.0 else SHAPES[name]
+    L = ell + 0.5
+    r, h = reference_log_grid(pot)
+    r2, v = r ** 2, pot.evaluate(r)
+    poly = exact._build_step_polynomial(pot, DEFAULT_CONFIG.max_radius,
+                                        DEFAULT_LOG_STEP, ell)
+    assert poly.coeffs.shape == (3, 2, 2, h.size)
+    # both sides round q = L^2 - g r^2 v to about eps L^2 where it cancels,
+    # which reaches a step map as h eps L^2 of its largest entry: 15 ulps at
+    # l = 60 (30 ulps measured), 1.5 ulps for l <= 5
+    bound = 8.0 * np.finfo(float).eps * (1.0 + h * L * L)
+    g_c = critical_coupling_shooting(SHAPES[name], ell) / scale
+    for g in (f * g_c for f in PRODUCT_STRENGTHS):
+        want = reference_step_matrices(L * L - g * r2 * v, h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = poly.matrices(g)
+        assert np.all(np.abs(got - want) <= bound * np.abs(want).max(axis=(0, 1))), g
+
+
+@pytest.mark.parametrize("ell", (0, 1, 3))
+def test_shooting_threshold_scales_at_the_ends_of_the_float_range(ell):
+    # g_c(lambda v) = g_c(v) / lambda; the polish must keep its relative
+    # tolerance for thresholds near 1e-300, and the step maps must neither
+    # overflow nor underflow for a shape near 1e300 or 1e-300
+    want = critical_coupling_shooting(_tabulated_28(), ell)
+    for scale in (1e-300, 1e-200, 1e200, 1e300):
+        got = scale * critical_coupling_shooting(_tabulated_28(scale), ell)
+        assert abs(got / want - 1.0) <= 1e-12, scale
 
 
 #: relative error allowed to the operator's products and eigenvalue: the
@@ -574,3 +652,30 @@ def test_shooting_computes_the_support_radius_once(monkeypatch, make):
                         lambda self, tail_tol, max_radius=1e4:
                         tail_radius(self, tail_tol, max_radius))
     assert critical_coupling_shooting(make(), 3) == got
+
+
+@pytest.mark.parametrize("make", [Potential.exponential, Potential.yukawa,
+                                  Potential.square_well,
+                                  lambda: Potential.exponential(R=2.0),
+                                  lambda: Potential.shell(0.1)])
+def test_shooting_builds_the_step_polynomial_once_per_solve(monkeypatch, make):
+    builds, shots = [], {}
+    build = exact._build_step_polynomial
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    def spy(pot, ell, g, *args):
+        shots[g] = shoot_zero_energy(pot, ell, g, *args)
+        return shots[g]
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_build_step_polynomial", counted)
+        m.setattr(exact, "shoot_zero_energy", spy)
+        critical_coupling_shooting(make(), 3)
+    assert len(builds) == 1
+    assert len(shots) > 1
+    # outside a solve every shot builds its own polynomial, with the same bits
+    for g, coefficient in shots.items():
+        assert shoot_zero_energy(make(), 3, g) == coefficient
