@@ -384,8 +384,8 @@ def test_step_polynomial_matches_stage_formulas(name, scale, ell):
                                         DEFAULT_LOG_STEP, ell)
     assert poly.coeffs.shape == (3, 2, 2, h.size)
     # both sides round q = L^2 - g r^2 v to about eps L^2 where it cancels,
-    # which reaches a step map as h eps L^2 of its largest entry: 15 ulps at
-    # l = 60 (30 ulps measured), 1.5 ulps for l <= 5
+    # which reaches a step map as about h eps L^2 of its largest entry
+    # (h L^2 = 15 at l = 60); measured 30 ulps at l = 60, 1.5 for l <= 5
     bound = 8.0 * np.finfo(float).eps * (1.0 + h * L * L)
     g_c = critical_coupling_shooting(SHAPES[name], ell) / scale
     for g in (f * g_c for f in PRODUCT_STRENGTHS):
