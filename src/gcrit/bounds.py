@@ -323,7 +323,7 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
         new = np.array([g for g in dict.fromkeys(gs) if g not in known])
 
         def family(r, k):
-            return _calogero_II_terms(*_calogero_II_factors(unit, ell, x, r), x, new[k])
+            return _calogero_II_integrand(unit, ell, x, new[k])(r)
 
         for g, res in zip(new.tolist(), lockstep(family, new.size, rcfg, **unit.support)):
             known[g] = res if isinstance(res, Exception) else x * res.value - 1.0

@@ -281,12 +281,12 @@ def _cmd_check(args) -> int:
     if args.config or args.potential:
         config = _merge_run_config(args, skip=("methods", "fmt", "digits"))
         potentials = [config.potential]
-        ells = config.ells
+        ells, cfg = config.ells, config.quadrature
     else:
         # every analytic kind, at its parameter's default; one without a default sits out
         potentials = [Potential(k, **({s.param: s.default} if s.param else {}))
                       for k, s in SHAPES.items() if s.param is None or s.default]
-        ells = tuple(args.ell) if args.ell else (0, 1, 2)
+        ells, cfg = (tuple(args.ell) if args.ell else (0, 1, 2)), DEFAULT_CONFIG
     failures = 0
 
     def report(ok: bool, text: str):
@@ -303,7 +303,7 @@ def _cmd_check(args) -> int:
             continue
         for ell in ells:
             try:
-                rep = sandwich(pot, ell)
+                rep = sandwich(pot, ell, cfg)
             except InvariantViolation as exc:
                 report(False, str(exc))
                 continue

@@ -34,7 +34,7 @@ class SearchRangeError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The ODE integrator produced a non-finite state."""
+    """The ODE integrator or a quadrature integrand produced a non-finite value."""
 
 
 class NoBoundStateError(RuntimeError):

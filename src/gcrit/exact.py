@@ -43,7 +43,7 @@ _TAIL_TOL = 1e-12
 #: and the iterations it may take to get there
 _POWER_TOL = 1e-12
 _POWER_MAX_ITERATIONS = 20000
-#: times the threshold scan may halve its log-step before giving up
+#: times the threshold scan may take the square root of its step factor
 _SCAN_REFINEMENTS = 6
 _EDGE_NUDGE = 1e-13
 

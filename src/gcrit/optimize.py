@@ -26,24 +26,24 @@ from .errors import AccuracyError
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN = 13      # samples of the initial range
 _REL_TOL = 1e-6    # log width (relative width in x) where refinement stops
+_MAX_EXPANSIONS = 4  # doublings of a soft-edged bracket before giving up
 
 
 @dataclass(frozen=True)
 class ScalarMinResult:
     x: float
-    fx: float
     evaluations: int
     edge_hit: bool
 
 
-def minimize_scalar_log(f, lo: float, hi: float, *, max_expansions: int = 4,
+def minimize_scalar_log(f, lo: float, hi: float, *,
                         hard_edges: bool = False) -> ScalarMinResult:
     """Minimize f over [lo, hi] on a log axis.
 
     With hard_edges=False, whenever the best sample lands on an edge the
     bracket is extended past that edge by its own log width, which doubles
-    it, with _PRESCAN - 1 new samples; running out of expansions raises
-    AccuracyError.  With hard_edges=True an edge minimum is legitimate
+    it, with _PRESCAN - 1 new samples; after _MAX_EXPANSIONS of them it
+    raises AccuracyError.  With hard_edges=True an edge minimum is legitimate
     (capped parameter ranges) and is refined in place with a warning at the
     upper cap.
     """
@@ -66,22 +66,19 @@ def minimize_scalar_log(f, lo: float, hi: float, *, max_expansions: int = 4,
         imin = min(range(len(fs)), key=lambda i: fs[i])
         if 0 < imin < len(fs) - 1:
             break
-        if expansions >= max_expansions:
+        if expansions >= _MAX_EXPANSIONS:
             raise AccuracyError(
                 "optimizer failed to bracket a minimum after "
-                f"{max_expansions} expansions of [{lo}, {hi}]")
+                f"{_MAX_EXPANSIONS} expansions of [{lo}, {hi}]")
         expansions += 1
-        step = (b - a) / (n - 1)
+        # n - 1 steps outward from the edge, evaluated in ascending order
+        step = (a - b if imin == 0 else b - a) / (n - 1)
+        new = sorted(ss[imin] + step * (k + 1) for k in range(n - 1))
+        fnew = [eval_log(s) for s in new]
         if imin == 0:
-            new = [ss[0] - step * (k + 1) for k in range(n - 1)]
-            ss = new[::-1] + ss
-            fs = [eval_log(s) for s in new[::-1]] + fs
-            a = ss[0]
+            ss, fs, a = new + ss, fnew + fs, new[0]
         else:
-            new = [ss[-1] + step * (k + 1) for k in range(n - 1)]
-            ss = ss + new
-            fs = fs + [eval_log(s) for s in new]
-            b = ss[-1]
+            ss, fs, b = ss + new, fs + fnew, new[-1]
 
     imin = min(range(len(fs)), key=lambda i: fs[i])
     edge_hit = imin == 0 or imin == len(fs) - 1
@@ -103,8 +100,8 @@ def minimize_scalar_log(f, lo: float, hi: float, *, max_expansions: int = 4,
             s_lo, c, fc = c, d, fd
             d = s_lo + _INVPHI * (s_hi - s_lo)
             fd = eval_log(d)
-    s_best, f_best = (c, fc) if fc <= fd else (d, fd)
-    return ScalarMinResult(math.exp(s_best), f_best, nev, edge_hit)
+    s_best = c if fc <= fd else d
+    return ScalarMinResult(math.exp(s_best), nev, edge_hit)
 
 
 def drive(f, steps):

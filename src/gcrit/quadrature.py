@@ -102,6 +102,14 @@ class IntegralResult:
     evaluations: int
 
 
+def _kronrod_nodes(lo, hi):
+    """The 15 Kronrod abscissae of each panel (lo[i], hi[i]), flattened
+    panel by panel, and the half-width of each panel."""
+    halves = 0.5 * (hi - lo)
+    centers = 0.5 * (lo + hi)
+    return (centers[:, None] + halves[:, None] * _NODES).ravel(), halves
+
+
 def _panels(f, spans):
     """Gauss-Kronrod 15(7) estimates (value, error) of the panels `spans`,
     each with a QUADPACK-style error, from one call of f on all their nodes;
@@ -111,9 +119,7 @@ def _panels(f, spans):
     the estimates do not depend on which panels share the call.
     """
     lo, hi = np.array(spans).T
-    halves = 0.5 * (hi - lo)
-    centers = 0.5 * (lo + hi)
-    x = (centers[:, None] + halves[:, None] * _NODES).ravel()
+    x, halves = _kronrod_nodes(lo, hi)
     fv = np.asarray(f(x), dtype=float)
     if fv.shape != x.shape:
         fv = np.broadcast_to(fv, x.shape).astype(float)
@@ -287,12 +293,17 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
     return IntegralResult(value, error, evals)
 
 
+def _unmapped(t, a=0.0):
+    """x = a + t/(1-t) for t in [0, 1), and (1-t)^2, the divisor of the
+    Jacobian dx/dt = 1/(1-t)^2."""
+    om = 1.0 - t
+    return a + t / om, om * om
+
+
 def _transformed(f, a):
     def g(t, *args):
-        t = np.asarray(t, dtype=float)
-        om = 1.0 - t
-        x = a + t / om
-        return f(x, *args) / (om * om)
+        x, den = _unmapped(np.asarray(t, dtype=float), a)
+        return f(x, *args) / den
     return g
 
 
@@ -426,17 +437,12 @@ class FixedRule:
     def __init__(self, w, cfg=DEFAULT_CONFIG, upper=None, points=()):
         lo, hi, wrap, seeds = _axis(upper, points)
         panels, self.total, _, _ = _adaptive(wrap(w), lo, hi, cfg, seeds)
-        lefts = np.array([p[0] for p in panels])
-        rights = np.array([p[1] for p in panels])
         # the abscissae _panels evaluated on each final panel
-        halves = 0.5 * (rights - lefts)
-        centers = 0.5 * (lefts + rights)
-        x = (centers[:, None] + halves[:, None] * _NODES[None, :]).ravel()
+        x, halves = _kronrod_nodes(*np.array([p[:2] for p in panels]).T)
         weights = (halves[:, None] * _WK[None, :]).ravel()
         if upper is None:
-            om = 1.0 - x
-            x = x / om
-            weights = weights / (om * om)
+            x, den = _unmapped(x)
+            weights = weights / den
         x.flags.writeable = False
         weights.flags.writeable = False
         self.nodes = x

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .bounds import METHODS, Method
 from .errors import ConfigurationError
 from .potentials import Kind, Potential
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 G_COLUMN_TOL = 2e-4   # printed precision is 5 significant digits
 P_COLUMN_TOL = 1e-3   # the optimal power sits in a flat minimum
@@ -184,25 +183,22 @@ class TableArtifact:
         return text
 
 
-def compute_table_row(table_id: int, label: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, ...]:
+def compute_table_row(table_id: int, label: float) -> tuple[float, ...]:
     """One freshly computed row in the printed column order."""
     _, row_label, _, has_p, kind = _SPECS[table_id]
     pot, ell = ((Potential(kind), int(label)) if row_label == "ell"
                 else (Potential(kind, **{row_label: float(label)}), 0))
-    results = {m: METHODS[m].compute(pot, ell, cfg) for m in _G_COLUMNS.values()}
+    results = {m: METHODS[m].compute(pot, ell) for m in _G_COLUMNS.values()}
     row = tuple(r.value for r in results.values())
     if has_p:
         row += (results[Method.VARIATIONAL].optimal_param,)
     return row
 
 
-def reproduce_table(table_id: int,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> TableArtifact:
+def reproduce_table(table_id: int) -> TableArtifact:
     """Recompute one table and compare every cell against the printed value."""
-    if table_id not in _SPECS:
-        raise ConfigurationError(f"table id must be 1..4, got {table_id!r}")
-    title, row_label, data, has_p, _ = _SPECS[table_id]
+    data = printed_values(table_id)
+    title, row_label, _, has_p, _ = _SPECS[table_id]
     columns = tuple(_G_COLUMNS) + (("p",) if has_p else ())
     tolerances = (G_COLUMN_TOL,) * len(_G_COLUMNS) + ((P_COLUMN_TOL,) if has_p else ())
     labels = tuple(data.keys())
@@ -213,7 +209,7 @@ def reproduce_table(table_id: int,
     computed = []
     deviations = []
     for label in labels:
-        row = compute_table_row(table_id, label, cfg)
+        row = compute_table_row(table_id, label)
         computed.append(row)
         deviations.append(tuple(abs(c - p) / abs(p)
                                 for c, p in zip(row, reference[label])))

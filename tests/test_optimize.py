@@ -36,7 +36,7 @@ def test_hard_edge_minimum_allowed():
 
 def test_unbracketable_raises():
     with pytest.raises(AccuracyError):
-        minimize_scalar_log(lambda x: -x, 1e-2, 1e2, max_expansions=2)
+        minimize_scalar_log(lambda x: -x, 1e-2, 1e2)
 
 
 def test_invalid_range():

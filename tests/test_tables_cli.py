@@ -437,6 +437,32 @@ def test_check_config_reads_only_what_check_uses(tmp_path, capsys):
     assert main(["compute", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("shape, quadrature", [
+    ("yukawa", "max_subdivisions = 1"), ("exponential", "max_radius = 0.5")])
+def test_check_config_uses_its_quadrature_section(tmp_path, capsys, shape, quadrature):
+    # a starved [quadrature] section fails check as it fails compute
+    cfg = tmp_path / "starved.ini"
+    cfg.write_text(f"[potential]\nkind = {shape}\n\n[run]\nell = 0\n\n"
+                   f"[quadrature]\n{quadrature}\n")
+    assert main(["check", "--config", str(cfg)]) == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_bad_table_id_raises_before_computing(monkeypatch):
+    rows = []
+
+    def row(table_id, label):
+        rows.append(label)
+        return _printed_row(table_id, label)
+
+    monkeypatch.setattr("gcrit.tables.compute_table_row", row)
+    for lookup in (printed_values, reproduce_table):
+        with pytest.raises(ConfigurationError) as exc:
+            lookup(5)
+        assert str(exc.value) == "table id must be 1..4, got 5"
+    assert rows == []
+
+
 # -- the one table renderer against the writers it replaced --------------------
 
 def reference_render_wide(records, fmt, digits):
