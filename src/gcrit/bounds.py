@@ -27,7 +27,7 @@ from .optimize import bisect, bracket, drive, minimize_scalar_log
 from .potentials import AngularMomentum, Kind, Potential
 from .quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig, integrate,
                          integrate_semi_infinite, lockstep, nested_double,
-                         nested_triple)
+                         nested_triple, replaying)
 
 
 class Method(str, Enum):
@@ -96,23 +96,46 @@ def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
     cfg (rel_tol, at most _SEARCH_PANELS panels).  A trial that exhausts a
     budget or range, meets a vanishing integral or an overflowing integrand,
     or whose value is not above floor(search config), scores as infinitely
-    bad.  The bound is then recomputed at the optimum with cfg itself.
+    bad; when the search cannot bracket a minimum because every trial did,
+    the AccuracyError names the last rejection.  The bound is then
+    recomputed at the optimum with cfg itself.
+
+    Each trial, and the final one, replays the panel trees of the trial
+    before it (`quadrature.replaying`), which changes no bit of any result.
     """
     search_cfg = cfg.loosened(rel_tol=rel_tol, max_subdivisions=_SEARCH_PANELS)
     low = 0.0 if floor is None else floor(search_cfg)
+    trees = {}
+    accepted = False
+    rejection = None   # why the last rejected trial was rejected
+
+    def trial(x, c):
+        nonlocal trees
+        with replaying(trees) as trees:
+            return at(x, c)
 
     def objective(x):
+        nonlocal accepted, rejection
         try:
-            res = at(x, search_cfg)
+            res = trial(x, search_cfg)
         except (AccuracyError, DegeneratePotentialError, IntegrationError,
-                SearchRangeError):
+                SearchRangeError) as exc:
+            rejection = str(exc)   # exc's traceback would hold this frame
             return math.inf
         if not res.value > low:
+            rejection = f"bound {res.value!r} not above the floor {low!r}"
             return math.inf
+        accepted = True
         return -res.value if res.side is Side.LOWER else res.value
 
-    best = minimize_scalar_log(objective, lo, hi, hard_edges=hard_edges)
-    return at(best.x, cfg)
+    try:
+        best = minimize_scalar_log(objective, lo, hi, hard_edges=hard_edges)
+    except AccuracyError as exc:
+        if accepted:
+            raise
+        raise AccuracyError(f"every trial of the search was rejected, the last "
+                            f"because {rejection}") from exc
+    return trial(best.x, cfg)
 
 
 # ---------------------------------------------------------------------------

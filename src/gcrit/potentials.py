@@ -266,8 +266,9 @@ class Potential:
         """Radius beyond which r*v(r) stays below tail_tol.
 
         Exact cutoff for compact shapes.  For decaying shapes the crossing of
-        r*v(r) = tail_tol is bracketed by geometric scan and bisected.  The
-        shape is immutable, so each radius is computed once per instance.
+        r*v(r) = tail_tol is bracketed by geometric scan and bisected; a
+        crossing beyond max_radius raises TruncationError.  The shape is
+        immutable, so each radius is computed once per instance.
         """
         key = (tail_tol, max_radius)
         if key not in self._radii_memo:
@@ -283,12 +284,13 @@ class Potential:
         def below(r):   # nonnegative where r*v is at most tail_tol
             return tail_tol - r * self.evaluate(r)
 
-        # walk inward from R while r*v <= tail_tol, else double outward; the
-        # first step out, to 2R, is tried whatever the cap
-        lo, hi = drive(below, bracket(self.R, 2.0, 2.0, 0.5e-12 * self.R,
-                                      max(max_radius, 2.0 * self.R)))
+        # walk inward from R while r*v <= tail_tol, else double outward up
+        # to the cap, where a doubling past it is clamped to the cap itself
+        lo, hi = drive(below, bracket(self.R, 2.0, 2.0, 0.5e-12 * self.R, max_radius))
         if lo is None:   # r*v stays below tail_tol down to the floor
-            return self.R
+            return min(self.R, max_radius)
+        if hi is None and lo < max_radius and below(max_radius) >= 0:
+            hi = max_radius
         if hi is None:
             raise TruncationError(
                 f"tail of r*v never drops below {tail_tol} within r <= {max_radius}")

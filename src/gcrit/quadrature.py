@@ -15,11 +15,21 @@ no special casing.  Semi-infinite integrals map [a, inf) onto [0, 1) with
 x = a + t/(1-t), which preserves polynomial-times-exponential decay well.
 
 The refinement (`_refinement`) is written once, as a generator that asks
-for the estimates of the panels it needs and is sent them.  A driver
-answers: `_adaptive` (behind `integrate`, `CumulativeIntegral` and
-`FixedRule`) with one integrand, `lockstep` with a family of m integrands
-on one axis, in one integrand call per round over every unfinished member,
-while each member keeps its own heap, look-ahead, budget and errors.
+for the estimates of the panels it needs and is sent them.  One driver
+(`_drive`) answers: for `_adaptive` (behind `integrate`, `CumulativeIntegral`
+and `FixedRule`) with one integrand, for `lockstep` with a family of m
+integrands on one axis, in one integrand call per round over every
+unfinished member, while each member keeps its own heap, look-ahead, budget
+and errors.
+
+A parameter search integrates nearly the same integrands trial after trial,
+so within `replaying` a refinement replays a tree, the spans a like
+refinement requested before: its first integrand call also evaluates them,
+and later requests are answered from those estimates, so that the call is
+made only for spans that are new.  A panel's estimate depends on nothing
+but its span and the integrand, so the replay changes no value, error,
+evaluation count, partition or error message; it costs the points of the
+replayed spans the refinement never asks for.
 
 Nested double and triple integrals evaluate the inner antiderivative from
 a cached panel partition (prefix sums plus one non-adaptive partial panel),
@@ -33,13 +43,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AccuracyError, ConfigurationError, DomainError, IntegrationError
-from .optimize import drive
 
 _EPS = np.finfo(float).eps
 
@@ -190,11 +201,12 @@ def _estimate(est, lo, hi):
     return est
 
 
-def _refinement(a, b, cfg, points=()):
+def _refinement(a, b, cfg, points, tree):
     """The adaptive refinement of one integral over (a, b), as a generator:
     it yields the spans whose estimates it needs, is sent their `_panels`
     estimates in the same order, and returns (panels, value, error,
     evaluations).  It raises AccuracyError and IntegrationError itself.
+    Appends each span it requests to the list `tree`.
 
     Refines panels worst-first.  Panels that can no longer be split (width
     at rounding level) keep their error but stop competing for refinement.
@@ -219,6 +231,7 @@ def _refinement(a, b, cfg, points=()):
     evals = 0
     total = 0.0
     toterr = 0.0
+    tree += spans
     for (lo, hi), est in zip(spans, (yield spans)):
         val, err = _estimate(est, lo, hi)
         evals += 15
@@ -251,6 +264,7 @@ def _refinement(a, b, cfg, points=()):
             levels = 2 * depth if depth > 1 or n >= fresh else 1
             room = cfg.max_subdivisions - 1 - len(heap) - len(frozen)
             spans, depths = _chain(lo, hi, side, min(levels, room))
+            tree += spans
             ahead.update(zip(spans, zip((yield spans), depths)))
         fresh = count
         for s, (p, q) in enumerate(((lo, mid), (mid, hi))):
@@ -269,10 +283,84 @@ def _refinement(a, b, cfg, points=()):
     return panels, value, error, evals
 
 
+#: the panel trees of a bound search trial (`replaying`): the trees of the
+#: trial before and those of this one, each by axis (lo, hi) a list of the
+#: spans requested by the k-th refinement on it; None outside a trial
+_trees: ContextVar[tuple[dict, dict] | None] = ContextVar("_trees", default=None)
+
+
+@contextmanager
+def replaying(trees: dict):
+    """Within the block, the k-th refinement of `_adaptive` on an axis replays
+    the k-th tree on that axis in `trees`, and a `lockstep` pass the latest
+    tree of the block on its axis (see `_drive`).  Yields the dict of the
+    block's own trees, filled as it runs: the trees a next block replays."""
+    recorded = {}
+    token = _trees.set((trees, recorded))
+    try:
+        yield recorded
+    finally:
+        _trees.reset(token)
+
+
+def _drive(steps, panels, predicted):
+    """Run the refinements `steps`, all on one axis, together to their ends,
+    and return the value of each.
+
+    Each round makes one call `panels(spans, members)` for the `_panels`
+    estimates of spans, where members[i] is the step span i is for.  Each
+    step keeps its estimates by span, and a round asks only for the spans it
+    requests that its step has no estimate of yet.  The first round also
+    asks, for every step, for the spans of the tree `predicted`.  An
+    estimate depends only on its span and integrand, so every result and
+    error is that of one call per request, and a predicted panel where the
+    integrand is not finite raises only when its step requests it.
+    """
+    caches = [{} for _ in steps]
+    wanted = {k: next(step) for k, step in enumerate(steps)}
+    out = [None] * len(steps)
+    while wanted:
+        spans, members = [], []
+        for k, need in wanted.items():
+            new = [span for span in need if span not in caches[k]]
+            if predicted:
+                asked = set(need)
+                new += [span for span in predicted if span not in asked]
+            spans += new
+            members += [k] * len(new)
+        predicted = ()
+        if spans:
+            for k, span, est in zip(members, spans, panels(spans, members)):
+                caches[k][span] = est
+        for k, need in list(wanted.items()):
+            try:
+                wanted[k] = steps[k].send([caches[k].pop(span) for span in need])
+            except StopIteration as done:
+                out[k] = done.value
+                del wanted[k]
+    return out
+
+
+def _caught(step):
+    """The refinement `step`, returning the AccuracyError or IntegrationError
+    it raises instead."""
+    try:
+        return (yield from step)
+    except (AccuracyError, IntegrationError) as exc:
+        return exc
+
+
 def _adaptive(f, a, b, cfg, points=()):
-    """Drive `_refinement` with one integrand: one call of f per request.
-    Returns (panels, value, error, evaluations)."""
-    return drive(lambda spans: _panels(f, spans), _refinement(a, b, cfg, points))
+    """Drive `_refinement` with one integrand: one call of f per request,
+    after the first also evaluating the tree that `replaying` holds for this
+    refinement, if any.  Returns (panels, value, error, evaluations)."""
+    before, now = _trees.get() or ({}, {})
+    old, trees = before.get((a, b), ()), now.setdefault((a, b), [])
+    predicted = old[len(trees)] if len(trees) < len(old) else ()
+    trees.append([])
+    [res] = _drive([_refinement(a, b, cfg, points, trees[-1])],
+                   lambda spans, members: _panels(f, spans), predicted)
+    return res
 
 
 def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -324,32 +412,23 @@ def lockstep(f, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
     f(x, k) gives the values of integrand k[i] at x[i], for an integer
     array k.  Each member runs its own `_refinement` (its own heap, chain
     look-ahead, budget and errors), and each round calls f once on the nodes
-    of every span the unfinished members ask for.  Returns, per member, the
+    of the spans the unfinished members ask for, after the first round only
+    those not yet evaluated for them: within `replaying` the first round
+    also evaluates, for each member, the latest tree of the block on this
+    axis, such as that of the `FixedRule` a search has just built.  Returns,
+    per member, the
     `IntegralResult` of `integrate` or `integrate_semi_infinite` on that
     integrand, or the AccuracyError or IntegrationError it would raise;
     an exception of f itself propagates.
     """
     lo, hi, wrap, seeds = _axis(upper, points)
     g = wrap(f)
-    steps = [_refinement(lo, hi, cfg, seeds) for _ in range(m)]
-    wanted = {k: next(step) for k, step in enumerate(steps)}
-    out = [None] * m
-    while wanted:
-        spans = [span for need in wanted.values() for span in need]
-        k = np.repeat(list(wanted), [15 * len(need) for need in wanted.values()])
-        ests = _panels(lambda x: g(x, k), spans)
-        start = 0
-        for member, need in list(wanted.items()):
-            got, start = ests[start:start + len(need)], start + len(need)
-            try:
-                wanted[member] = steps[member].send(got)
-                continue
-            except StopIteration as done:
-                out[member] = IntegralResult(*done.value[1:])
-            except (AccuracyError, IntegrationError) as exc:
-                out[member] = exc
-            del wanted[member]
-    return out
+    trees = (_trees.get() or ({}, {}))[1].get((lo, hi))
+    out = _drive([_caught(_refinement(lo, hi, cfg, seeds, [])) for _ in range(m)],
+                 lambda spans, k: _panels(lambda x: g(x, np.repeat(k, 15)), spans),
+                 trees[-1] if trees else ())
+    return [res if isinstance(res, Exception) else IntegralResult(*res[1:])
+            for res in out]
 
 
 class CumulativeIntegral:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -7,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcrit import bounds as bounds_module
-from gcrit.bounds import (G_SEARCH_RANGE, Method, Side, _calogero_II_integrand,
+from gcrit import quadrature
+from gcrit.bounds import (G_SEARCH_RANGE, BoundResult, Method, Side,
+                          _calogero_II_integrand,
                           _rel_cfg, lower_bargmann_schwinger, lower_ggmt,
                           lower_ggmt_at, lower_second_order, lower_third_order,
                           sandwich, sufficient_condition_holds,
@@ -18,7 +21,7 @@ from gcrit.bounds import (G_SEARCH_RANGE, Method, Side, _calogero_II_integrand,
 from gcrit.errors import (AccuracyError, DomainError, IntegrationError,
                           SearchRangeError)
 from gcrit.potentials import Potential
-from gcrit.quadrature import DEFAULT_CONFIG, FixedRule
+from gcrit.quadrature import DEFAULT_CONFIG, FixedRule, integrate
 
 SW = Potential.square_well()
 EXP = Potential.exponential()
@@ -488,3 +491,113 @@ def test_variational_overflowing_shape_raises_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError):
             upper_variational_at(YUK, 0, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# freeze, then verify: bound searches with and without the panel-tree replay
+# ---------------------------------------------------------------------------
+
+REPLAY_SEARCHES = {
+    "ggmt": lower_ggmt,
+    "calogero_i": upper_calogero_I,
+    "calogero_ii": upper_calogero_II,
+    "variational": upper_variational,
+}
+REPLAY_SHAPES = {
+    "exponential": EXP,
+    "yukawa": YUK,
+    "stis": Potential.stis(1.0),
+    "shell": Potential.shell(0.1),
+    "tabulated28": _bump_grid(28, 28),
+}
+
+
+def _without_replay(monkeypatch):
+    """Swap the search's replay for a block that replays and records nothing."""
+    monkeypatch.setattr(bounds_module, "replaying",
+                        lambda trees: contextlib.nullcontext({}))
+
+
+@pytest.mark.parametrize("ell", [0, 3])
+@pytest.mark.parametrize("shape", sorted(REPLAY_SHAPES))
+@pytest.mark.parametrize("method", sorted(REPLAY_SEARCHES))
+def test_bound_search_replay_is_bit_for_bit(monkeypatch, method, shape, ell):
+    search, pot = REPLAY_SEARCHES[method], REPLAY_SHAPES[shape]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = search(pot, ell)
+        _without_replay(monkeypatch)
+        want = search(pot, ell)
+    assert (got.value, got.optimal_param) == (want.value, want.optimal_param)
+
+
+def test_replay_halves_the_integrand_calls_of_a_search(monkeypatch):
+    panels = quadrature._panels
+    calls = []
+
+    def counted(f, spans):
+        calls.append(len(spans))
+        return panels(f, spans)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    got = upper_variational(EXP, 0)
+    replayed = len(calls)
+    calls.clear()
+    _without_replay(monkeypatch)
+    assert upper_variational(EXP, 0) == got
+    assert 2 * replayed <= len(calls), (replayed, len(calls))
+
+
+def _quadratic_bound(x, cfg):
+    """An upper limit with its minimum 2 at x = 3, and one integral per trial."""
+    integrate(lambda r: r * r, 0.0, 1.0, cfg)
+    return BoundResult(Method.CALOGERO_I, Side.UPPER, 2.0 + math.log(x / 3.0) ** 2, 0,
+                       optimal_param=x)
+
+
+def test_the_replay_memory_is_set_only_within_a_search():
+    seen = []
+
+    def at(x, cfg):
+        seen.append(quadrature._trees.get())
+        return _quadratic_bound(x, cfg)
+
+    assert quadrature._trees.get() is None
+    res = bounds_module._optimize_bound(at, DEFAULT_CONFIG, 0.1, 10.0, 1e-9)
+    assert math.isclose(res.optimal_param, 3.0, rel_tol=1e-5)
+    assert None not in seen
+    # each trial records its own trees and replays those of the trial before
+    assert seen[1][0] is seen[0][1] and seen[2][0] is seen[1][1]
+    assert quadrature._trees.get() is None
+
+    def failing(after):
+        def at(x, cfg):
+            if len(seen) >= after:
+                raise ZeroDivisionError("not a rejection")
+            seen.append(None)
+            return _quadratic_bound(x, cfg)
+        return at
+
+    for after in (0, 5, 42):   # the first trial, a later one, the final one
+        seen.clear()
+        with pytest.raises(ZeroDivisionError):
+            bounds_module._optimize_bound(failing(after), DEFAULT_CONFIG, 0.1, 10.0, 1e-9)
+        assert quadrature._trees.get() is None
+
+
+def test_a_search_whose_every_trial_is_rejected_names_the_last_rejection():
+    tried = []
+
+    def at(x, cfg):
+        tried.append(x)
+        raise SearchRangeError(f"nothing at {x!r}")
+
+    with pytest.raises(AccuracyError) as info:
+        bounds_module._optimize_bound(at, DEFAULT_CONFIG, 0.1, 10.0, 1e-9)
+    assert str(info.value) == ("every trial of the search was rejected, the last "
+                               f"because nothing at {tried[-1]!r}")
+    # a search that accepted a trial keeps the optimizer's own message
+    with pytest.raises(AccuracyError, match="failed to bracket"):
+        bounds_module._optimize_bound(
+            lambda x, cfg: BoundResult(Method.CALOGERO_I, Side.UPPER, 1.0 / x, 0),
+            DEFAULT_CONFIG, 0.1, 10.0, 1e-9)

@@ -123,7 +123,8 @@ def test_support_radius_respects_radius_cap():
 
 def reference_tail_radius(pot, tail_tol, max_radius):
     """The tail radius search as it was written out by hand before the shared
-    bracket-and-bisect search, kept as the reference that search must match."""
+    bracket-and-bisect search, kept as the reference that search must match;
+    its outward doubling is clamped to max_radius, and it never returns more."""
     def excess(r):
         return r * pot.evaluate(r) - tail_tol
 
@@ -134,12 +135,12 @@ def reference_tail_radius(pot, tail_tol, max_radius):
             lo *= 0.5
         if excess(lo) <= 0:
             return pot.R
-    hi = 2.0 * lo
-    while excess(hi) > 0:
-        hi *= 2.0
-        if hi > max_radius:
+    hi = min(2.0 * lo, max_radius)
+    while hi <= lo or excess(hi) > 0:
+        if hi >= max_radius:
             raise TruncationError(
                 f"tail of r*v never drops below {tail_tol} within r <= {max_radius}")
+        hi = min(2.0 * hi, max_radius)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0:
@@ -158,8 +159,9 @@ def _tail_outcome(search):
         return type(exc), str(exc)
 
 
-# (shape, tail_tol, max_radius): the doubling walk, its cap, the first
-# doubling past a cap below 2R, the inward walk (ln 2) and its exhaustion (R)
+# (shape, tail_tol, max_radius): the doubling walk, its cap, a cap below 2R
+# with the crossing past it and before it, the inward walk (ln 2), its
+# exhaustion (R), and a walk that starts past the cap
 TAIL_CASES = {
     "exponential/1e-12": (Potential.exponential, 1e-12, 1e4),
     "exponential/1e-13": (Potential.exponential, 1e-13, 1e4),
@@ -170,6 +172,9 @@ TAIL_CASES = {
     "exponential/cap": (Potential.exponential, 1e-12, 10.0),
     "exponential/cap below 2R": (Potential.exponential, 1e-12, 1.5),
     "yukawa/past a cap below 2R": (Potential.yukawa, 0.2, 1.5),
+    "yukawa/within a cap below 2R": (Potential.yukawa, 0.3, 1.5),
+    "yukawa/inward past the cap": (lambda: Potential.yukawa(R=4.0), 0.125, 2.0),
+    "yukawa/inward within the cap": (lambda: Potential.yukawa(R=4.0), 0.125, 3.0),
     "yukawa/inward": (Potential.yukawa, 0.5, 1e4),
     "yukawa/inward R=4": (lambda: Potential.yukawa(R=4.0), 0.125, 1e4),
     "yukawa/exhausted": (Potential.yukawa, 2.0, 1e4),
@@ -204,6 +209,12 @@ def test_tail_radius_matches_the_hand_written_search(monkeypatch, case):
         assert math.isclose(got, math.log(2.0), rel_tol=1e-11)
     if case == "yukawa/exhausted":
         assert got == 1.0
+    if "past" in case:   # the crossing lies beyond the cap
+        assert got[0] is TruncationError
+    if case == "yukawa/within a cap below 2R":
+        assert math.isclose(got, math.log(1.0 / 0.3), rel_tol=1e-11)
+    if case == "yukawa/inward within the cap":
+        assert math.isclose(got, 4.0 * math.log(2.0), rel_tol=1e-11)
 
 
 def test_regularity_builtins_pass():

@@ -651,3 +651,119 @@ def test_lockstep_calls_its_integrand_once_per_round(sweep_grid):
     # the pass lasts as long as its slowest member, one call per round
     assert len(calls) == max(own) > min(own)
     assert calls[0] == len(fs) * 15 * 64   # every member's initial panels
+
+
+# ---------------------------------------------------------------------------
+# freeze, then verify: a replayed panel tree against no replay
+# ---------------------------------------------------------------------------
+
+AXIS = (0.0, 1.0)
+TINY = 2.0 ** -30   # below it the "non-finite" integrands are NaN
+
+
+def _smooth(x):
+    return np.exp(-3.0 * x) * np.cos(5.0 * x)
+
+
+def _towards_origin(x):
+    return x ** -0.5 * np.exp(-x)
+
+
+def _nan_near_origin(f):
+    return lambda x: np.where(x < TINY, np.nan, f(x))
+
+
+def _rule(f, cfg):
+    """A semi-infinite FixedRule whose integrand on the mapped axis is f."""
+    rule = FixedRule(lambda r: f(r / (1.0 + r)) / (1.0 + r) ** 2, cfg)
+    return rule.total, rule.nodes.tolist(), rule.weights.tolist()
+
+
+#: computations on the axis (0, 1), each of one integrand f under a config
+REPLAYED = {
+    "integrate": lambda f, cfg: (integrate(f, 0.0, 1.0, cfg),
+                                 quadrature._adaptive(f, 0.0, 1.0, cfg, (0.3,))),
+    "nested_double": lambda f, cfg: nested_double(f, f, cfg, upper=1.0),
+    "FixedRule": _rule,
+}
+
+#: a tree on AXIS whose spans go down to widths far below TINY
+CHAIN_TREE = [span for k in range(1, 60) for span in ((0.0, 2.0 ** -k), (2.0 ** -k, 2.0 ** (1 - k)))]
+
+
+def _priming(kind, compute):
+    """(integrand, config, trees to replay) for each kind of memory: the
+    integrand's own trees; trees of an unrelated integrand on the same axis;
+    a tree with panels where the integrand is NaN, which the refinement
+    never uses; an integrand that exhausts its budget, primed with its trees
+    at a larger budget."""
+    if kind == "nonfinite":
+        return _nan_near_origin(_smooth), CFG, {AXIS: [CHAIN_TREE] * 3}
+    f, cfg, source = {"same": (_smooth, CFG, _smooth),
+                      "unrelated": (_smooth, CFG, _towards_origin),
+                      "budget": (lambda x: x ** -0.95, _budget(40), lambda x: x ** -0.95)}[kind]
+    with quadrature.replaying({}) as trees:
+        outcome(lambda: compute(source, CFG))
+    return f, cfg, trees
+
+
+def replayed(compute, trees):
+    """outcome(compute) within `quadrature.replaying(trees)`."""
+    with quadrature.replaying(trees):
+        return outcome(compute)
+
+
+@pytest.mark.parametrize("kind", ["same", "unrelated", "nonfinite", "budget"])
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+def test_a_replayed_tree_changes_no_result(name, kind):
+    compute = REPLAYED[name]
+    f, cfg, trees = _priming(kind, compute)
+    assert trees and all(trees.values())
+    counted, calls = counting(f)
+    want = outcome(lambda: compute(counted, cfg))
+    plain = len(calls)
+    calls.clear()
+    got = replayed(lambda: compute(counted, cfg), trees)
+    assert got == want
+    if kind == "budget":
+        assert got[0] is AccuracyError
+    if kind == "same":   # the replay pays: fewer integrand calls
+        assert len(calls) < plain, (len(calls), plain)
+
+
+def test_nonfinite_panels_of_a_replayed_tree_are_evaluated():
+    nan_nodes = []
+
+    def f(x):
+        nan_nodes.append(np.count_nonzero(x < TINY))
+        return _nan_near_origin(_smooth)(x)
+
+    got = replayed(lambda: quadrature._adaptive(f, 0.0, 1.0, CFG), {AXIS: [CHAIN_TREE]})
+    assert sum(nan_nodes) > 0
+    assert got == quadrature._adaptive(_smooth, 0.0, 1.0, CFG)
+
+
+@pytest.mark.parametrize("kind", ["same", "unrelated", "nonfinite", "budget"])
+def test_lockstep_replays_the_latest_tree_of_its_block(kind):
+    def members(f):
+        return [f, lambda x: 2.5 * f(x), lambda x: f(x) * np.sqrt(x)]
+
+    def compute(f, cfg):
+        return [outcome(lambda: _raise(r) if isinstance(r, Exception) else r)
+                for r in quadrature.lockstep(family(members(f)), 3, cfg, upper=1.0)]
+
+    f, cfg, trees = _priming(kind, lambda f, cfg: quadrature._adaptive(f, 0.0, 1.0, cfg))
+    calls = []
+    want = compute(f, cfg)
+    with quadrature.replaying({}) as latest:
+        latest[AXIS] = [trees[AXIS][-1]]   # as if a rule had just been built
+        calls_before = len(calls)
+        got = [outcome(lambda: _raise(r) if isinstance(r, Exception) else r)
+               for r in quadrature.lockstep(family(members(f), calls), 3, cfg, upper=1.0)]
+    assert got == want
+    if kind == "same":
+        plain = []
+        quadrature.lockstep(family(members(f), plain), 3, cfg, upper=1.0)
+        assert len(calls) - calls_before < len(plain)
+    if kind == "budget":
+        assert all(g[0] is AccuracyError for g in got[:2])

@@ -141,6 +141,16 @@ def test_cli_compute_deterministic(capsys):
     assert first.splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
+def test_cli_compute_says_when_every_trial_is_rejected(capsys):
+    # the shell's Calogero II threshold, about 4 / width, lies above the
+    # strength range at every matching radius the search tries
+    assert main(["compute", "--potential", "shell", "--shell-width", "1e-9",
+                 "--methods", "calogero_ii"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical error: every trial of the search was rejected, the last "
+                   "because sufficient condition never reached 1 below g = 1e+06\n")
+
+
 def test_cli_records_format(capsys):
     assert main(["compute", "--potential", "square_well", "--ell", "0",
                  "--methods", "bargmann_schwinger", "--records"]) == 0
