@@ -12,7 +12,7 @@ turns rejected trials into inf.
 `bracket` and `bisect` find the first point where an f turns nonnegative (a
 Calogero II threshold, the first shooting threshold, a tail radius) as
 generators that yield their trial points and are sent f there; `drive`
-feeds them, or the quadrature refinement, from one function.
+feeds them from one function.
 """
 
 from __future__ import annotations
