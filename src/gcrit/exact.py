@@ -23,12 +23,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv
 
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      NoBoundStateError)
-from .optimize import bracket, drive
+from .optimize import bracket, brentq, drive
 from .potentials import AngularMomentum, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -291,9 +289,10 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     Starts just below the weakest lower bound (strength per unit shape
     integral), halves the strength while the growing-mode coefficient is
     not positive, scans geometrically upward to its first sign change, then
-    polishes the root to relative 1e-12.  The node count of the solution at
-    the upper end confirms that the bracket holds the first threshold; if
-    not, the scan is repeated with a finer step, on the coefficients known.
+    polishes the root to relative 1e-12 with `optimize.brentq`, scipy's
+    Brent iteration bit for bit.  The node count of the solution at the
+    upper end confirms that the bracket holds the first threshold; if not,
+    the scan is repeated with a finer step, on the coefficients known.
     """
     pot, ell = pot.unit, AngularMomentum(ell).ell
     if g_start is None:
@@ -466,8 +465,12 @@ def bessel_first_zero(nu: float) -> float:
     """First positive zero of the Bessel function J_nu, nu >= -1/2.
 
     J_nu is positive on (0, j1), so an outward scan brackets the first sign
-    change and a bracketed root polish finishes the job.
+    change and `optimize.brentq` polishes it.  J_nu comes from
+    scipy.special, imported here: the closed-form references are the only
+    part of the package that needs scipy.
     """
+    from scipy.special import jv
+
     if not nu >= -0.5:
         raise DomainError("order must satisfy nu >= -1/2")
     step = 0.4

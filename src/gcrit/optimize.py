@@ -12,16 +12,20 @@ turns rejected trials into inf.
 `bracket` and `bisect` find the first point where an f turns nonnegative (a
 Calogero II threshold, the first shooting threshold, a tail radius) as
 generators that yield their trial points and are sent f there; `drive`
-feeds them from one function.
+feeds them from one function.  `brentq` polishes a sign change to a root
+(the shooting threshold, Bessel zeros): scipy's Brent iteration rewritten
+in Python with the same float operations in the same order, so it returns
+scipy's root bit for bit and the package imports no scipy.optimize.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError, IntegrationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN = 13      # samples of the initial range
@@ -144,3 +148,99 @@ def bisect(lo: float, hi: float, rel_tol: float):
         if hi - lo <= rel_tol * hi:
             break
     return lo, hi
+
+
+#: least relative tolerance of `brentq`, 4 eps, and its iteration budget
+_BRENT_MIN_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAX_ITERATIONS = 100
+
+
+def _divide(n: float, d: float) -> float:
+    """n / d as C divides doubles: +-inf or nan where Python raises."""
+    try:
+        return n / d
+    except ZeroDivisionError:
+        if n != n or n == 0.0:
+            return math.nan
+        return math.copysign(math.inf, n) * math.copysign(1.0, d)
+
+
+def brentq(f, a: float, b: float, *, xtol: float, rtol: float) -> float:
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c) that
+    evaluates f at the same points and returns the same root: f(a) and
+    f(b) first, a zero value ends the search, sign tests by sign bit, an
+    inverse quadratic or secant step when it is short enough and a
+    bisection otherwise, never a step below delta = (xtol + rtol |x|)/2,
+    and at most 100 iterations.  Raises DomainError for xtol <= 0 or
+    rtol < 4 eps, IntegrationError when f is not finite, and AccuracyError
+    when f(a) and f(b) have the same sign or the iterations run out.
+    """
+    if not xtol > 0:
+        raise DomainError(f"brentq: xtol must be positive, got {xtol!r}")
+    if not rtol >= _BRENT_MIN_RTOL:
+        raise DomainError(f"brentq: rtol must be at least {_BRENT_MIN_RTOL!r}, "
+                          f"got {rtol!r}")
+
+    def value(x):
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise IntegrationError(f"brentq: f({x!r}) = {fx!r} is not finite")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise AccuracyError(f"brentq: f({xpre!r}) = {fpre!r} and "
+                            f"f({xcur!r}) = {fcur!r} have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITERATIONS):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant through the last two points
+                stry = _divide(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # inverse quadratic through all three
+                dpre = _divide(fpre - fcur, xpre - xcur)
+                dblk = _divide(fblk - fcur, xblk - xcur)
+                stry = _divide(-fcur * (fblk * dblk - fpre * dpre),
+                               dblk * dpre * (fblk - fpre))
+            # C's MIN(a, b), which keeps b where min() keeps a nan a
+            bound = abs(spre)
+            if not bound < 3 * abs(sbis) - delta:
+                bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise AccuracyError(
+        f"brentq: no convergence in {_BRENT_MAX_ITERATIONS} iterations",
+        best_estimate=xcur)
