@@ -9,10 +9,11 @@ which the refinement uses later in its own order: results are those of one
 call per split, but a call can include nodes of panels the final partition
 never uses.  Integrands must therefore be pointwise (a value may not depend
 on the other nodes of the call) and must tolerate any point strictly inside
-the interval.  All evaluation nodes are strictly interior, so integrable
-endpoint singularities milder than 1/x and indicator-style integrands need
-no special casing.  Semi-infinite integrals map [a, inf) onto [0, 1) with
-x = a + t/(1-t), which preserves polynomial-times-exponential decay well.
+the interval.  Nodes stay off an end at 0, where floats are dense, so
+integrable singularities there need no special casing; at another end a
+panel some 64 ulps wide can put a node on it (`integrate`).  Semi-infinite
+integrals map [a, inf) onto [0, 1) with x = a + t/(1-t), which preserves
+polynomial-times-exponential decay well.
 
 The refinement (`_refinement`) is written once, as a generator that asks
 for the estimates of the panels it needs and is sent them.  One driver
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConfigurationError, DomainError, IntegrationError
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 _XK_HALF = np.array([
@@ -208,8 +210,9 @@ def _refinement(a, b, cfg, points, tree):
     evaluations).  It raises AccuracyError and IntegrationError itself.
     Appends each span it requests to the list `tree`.
 
-    Refines panels worst-first.  Panels that can no longer be split (width
-    at rounding level) keep their error but stop competing for refinement.
+    Refines panels worst-first.  Returns only when the error summed over the
+    final panels (the running sums can cancel) meets the tolerance, and
+    otherwise, as for a panel too narrow to halve, raises AccuracyError.
 
     A split can evaluate ahead along a chain, such as the bisections towards
     an endpoint singularity.  When the popped panel is the end of a chain
@@ -225,16 +228,13 @@ def _refinement(a, b, cfg, points, tree):
     edges = _initial_edges(a, b, points)
     spans = list(zip(edges[:-1], edges[1:]))
     heap = []
-    frozen = []
     ahead = {}
     count = 0
-    evals = 0
     total = 0.0
     toterr = 0.0
     tree += spans
     for (lo, hi), est in zip(spans, (yield spans)):
         val, err = _estimate(est, lo, hi)
-        evals += 15
         # (-error, id, lo, hi, value, chain depth, side of its parent)
         heapq.heappush(heap, (-err, count, lo, hi, val, 1, 0))
         count += 1
@@ -242,27 +242,21 @@ def _refinement(a, b, cfg, points, tree):
         toterr += err
     fresh = count  # the first id made by the last split
     while toterr > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if len(heap) + len(frozen) >= cfg.max_subdivisions:
-            raise AccuracyError(
-                f"quadrature budget of {cfg.max_subdivisions} panels exhausted "
-                f"(estimate {total!r}, error {toterr!r})",
-                best_estimate=total, error_estimate=toterr)
+        if len(heap) >= cfg.max_subdivisions:
+            raise _short(f"quadrature budget of {cfg.max_subdivisions} panels "
+                         f"exhausted", total, toterr)
         neg_err, n, lo, hi, val, depth, side = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            # width at rounding level: keep the panel and its error, stop
-            # splitting it
-            frozen.append((lo, hi, val, -neg_err))
-            if not heap:
-                break
-            continue
+            raise _short(f"quadrature panel [{lo!r}, {hi!r}] is too narrow to "
+                         f"halve", total, toterr)
         total -= val
         toterr += neg_err
         if (lo, mid) not in ahead:
             # a chain goes on from its end, or starts at a half of the panel
             # just split; it never outgrows the splits the budget has left
             levels = 2 * depth if depth > 1 or n >= fresh else 1
-            room = cfg.max_subdivisions - 1 - len(heap) - len(frozen)
+            room = cfg.max_subdivisions - 1 - len(heap)
             spans, depths = _chain(lo, hi, side, min(levels, room))
             tree += spans
             ahead.update(zip(spans, zip((yield spans), depths)))
@@ -270,17 +264,23 @@ def _refinement(a, b, cfg, points, tree):
         for s, (p, q) in enumerate(((lo, mid), (mid, hi))):
             est, d = ahead.pop((p, q))
             v, e = _estimate(est, p, q)
-            evals += 15
             heapq.heappush(heap, (-e, count, p, q, v, d, s))
             count += 1
             total += v
             toterr += e
-    panels = [(lo, hi, val, -neg) for neg, _, lo, hi, val, _, _ in heap]
-    panels += [(lo, hi, val, err) for lo, hi, val, err in frozen]
-    panels.sort()
+    panels = sorted((lo, hi, val, -neg) for neg, _, lo, hi, val, _, _ in heap)
     value = sum(p[2] for p in panels)
     error = sum(p[3] for p in panels)
-    return panels, value, error, evals
+    if error > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        raise _short("quadrature error over the final panels exceeds the "
+                     "tolerance", value, error)
+    return panels, value, error, 15 * count
+
+
+def _short(why, value, error):
+    """The AccuracyError of a refinement that stops short of its tolerance."""
+    return AccuracyError(f"{why} (estimate {value!r}, error {error!r})",
+                         best_estimate=value, error_estimate=error)
 
 
 #: the panel trees of a bound search trial (`replaying`): the trees of the
@@ -369,7 +369,8 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
     f must accept numpy arrays and be pointwise: it is called at most once
     per refinement step, on the nodes of several panels, some of which the
-    refinement may never use (see `_refinement`).  Nodes never touch a or b.
+    refinement may never use (see `_refinement`).  Nodes never touch an end
+    at 0 but can touch another: (x-1)**-0.5 raises IntegrationError on (1, 2).
     `points` seeds panel edges at known breakpoints of the integrand.
     """
     a, b = float(a), float(b)
@@ -416,10 +417,9 @@ def lockstep(f, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
     those not yet evaluated for them: within `replaying` the first round
     also evaluates, for each member, the latest tree of the block on this
     axis, such as that of the `FixedRule` a search has just built.  Returns,
-    per member, the
-    `IntegralResult` of `integrate` or `integrate_semi_infinite` on that
-    integrand, or the AccuracyError or IntegrationError it would raise;
-    an exception of f itself propagates.
+    per member, the `IntegralResult` of `integrate` or `integrate_semi_infinite`
+    on that integrand, or the AccuracyError or IntegrationError it would
+    raise; an exception of f itself propagates.
     """
     lo, hi, wrap, seeds = _axis(upper, points)
     g = wrap(f)

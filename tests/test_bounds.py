@@ -19,7 +19,7 @@ from gcrit.bounds import (G_SEARCH_RANGE, BoundResult, Method, Side,
                           upper_variational, upper_variational_at,
                           upper_variational_square_well)
 from gcrit.errors import (AccuracyError, DomainError, IntegrationError,
-                          SearchRangeError)
+                          InvariantViolation, SearchRangeError)
 from gcrit.potentials import Potential
 from gcrit.quadrature import DEFAULT_CONFIG, FixedRule, integrate
 
@@ -601,3 +601,67 @@ def test_a_search_whose_every_trial_is_rejected_names_the_last_rejection():
         bounds_module._optimize_bound(
             lambda x, cfg: BoundResult(Method.CALOGERO_I, Side.UPPER, 1.0 / x, 0),
             DEFAULT_CONFIG, 0.1, 10.0, 1e-9)
+
+
+def _spy_objective(monkeypatch):
+    """Record (x, objective(x)) for every trial of the next searches."""
+    scores = []
+    real = bounds_module.minimize_scalar_log
+
+    def spied(objective, lo, hi, **kwargs):
+        def recorded(x):
+            scores.append((x, objective(x)))
+            return scores[-1][1]
+        return real(recorded, lo, hi, **kwargs)
+
+    monkeypatch.setattr(bounds_module, "minimize_scalar_log", spied)
+    return scores
+
+
+def test_a_trial_not_above_the_floor_is_rejected(monkeypatch):
+    # a lower limit with its maximum 2 at x = 3; the floor 1 rejects every
+    # trial with |log(x/3)| >= 1
+    scores = _spy_objective(monkeypatch)
+    floors = []
+
+    def floor(cfg):
+        floors.append(cfg)
+        return 1.0
+
+    def at(x, cfg):
+        return BoundResult(Method.GGMT, Side.LOWER, 2.0 / (1.0 + math.log(x / 3.0) ** 2),
+                           0, optimal_param=x)
+
+    res = bounds_module._optimize_bound(at, DEFAULT_CONFIG, 0.1, 10.0, 1e-9, floor=floor)
+    assert math.isclose(res.optimal_param, 3.0, rel_tol=1e-5)
+    assert floors == [DEFAULT_CONFIG.loosened(1e-9, bounds_module._SEARCH_PANELS)]
+    rejected = [x for x, score in scores if score == math.inf]
+    assert rejected and len(rejected) < len(scores)
+    for x, score in scores:
+        value = at(x, None).value
+        assert score == (math.inf if value <= 1.0 else -value), x
+
+
+def test_a_search_with_every_trial_below_the_floor_names_the_floor(monkeypatch):
+    scores = _spy_objective(monkeypatch)
+
+    def at(x, cfg):
+        return BoundResult(Method.GGMT, Side.LOWER, 0.5, 0, optimal_param=x)
+
+    with pytest.raises(AccuracyError) as info:
+        bounds_module._optimize_bound(at, DEFAULT_CONFIG, 0.1, 10.0, 1e-9,
+                                      floor=lambda cfg: 0.5)
+    assert str(info.value) == ("every trial of the search was rejected, the last "
+                               "because bound 0.5 not above the floor 0.5")
+    assert scores and all(score == math.inf for _, score in scores)
+
+
+def test_sandwich_raises_when_a_lower_limit_passes_the_exact_value(monkeypatch):
+    # METHODS looks the limit up at call time, so the patch reaches sandwich
+    monkeypatch.setattr(bounds_module, "lower_bargmann_schwinger",
+                        lambda pot, ell, cfg: BoundResult(
+                            Method.BARGMANN_SCHWINGER, Side.LOWER, 3.0, ell))
+    with pytest.raises(InvariantViolation) as info:
+        sandwich(SW, 0)
+    assert str(info.value).startswith(
+        "bound ordering violated for square_well ell=0: max lower 3.0, exact 2.4674")

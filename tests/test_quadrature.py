@@ -223,7 +223,6 @@ def reference_adaptive(f, a, b, cfg, points=()):
     """The adaptive engine with one integrand call per panel."""
     edges = quadrature._initial_edges(a, b, points)
     heap = []
-    frozen = []
     count = 0
     evals = 0
     total = 0.0
@@ -236,7 +235,7 @@ def reference_adaptive(f, a, b, cfg, points=()):
         total += val
         toterr += err
     while toterr > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if len(heap) + len(frozen) >= cfg.max_subdivisions:
+        if len(heap) >= cfg.max_subdivisions:
             raise AccuracyError(
                 f"quadrature budget of {cfg.max_subdivisions} panels exhausted "
                 f"(estimate {total!r}, error {toterr!r})",
@@ -244,10 +243,10 @@ def reference_adaptive(f, a, b, cfg, points=()):
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            frozen.append((lo, hi, val, -neg_err))
-            if not heap:
-                break
-            continue
+            raise AccuracyError(
+                f"quadrature panel [{lo!r}, {hi!r}] is too narrow to halve "
+                f"(estimate {total!r}, error {toterr!r})",
+                best_estimate=total, error_estimate=toterr)
         total -= val
         toterr += neg_err
         for (p, q) in ((lo, mid), (mid, hi)):
@@ -257,11 +256,14 @@ def reference_adaptive(f, a, b, cfg, points=()):
             count += 1
             total += v
             toterr += e
-    panels = [(lo, hi, val, -neg) for neg, _, lo, hi, val in heap]
-    panels += [(lo, hi, val, err) for lo, hi, val, err in frozen]
-    panels.sort()
+    panels = sorted((lo, hi, val, -neg) for neg, _, lo, hi, val in heap)
     value = sum(p[2] for p in panels)
     error = sum(p[3] for p in panels)
+    if error > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        raise AccuracyError(
+            f"quadrature error over the final panels exceeds the tolerance "
+            f"(estimate {value!r}, error {error!r})",
+            best_estimate=value, error_estimate=error)
     return panels, value, error, evals
 
 
@@ -767,3 +769,81 @@ def test_lockstep_replays_the_latest_tree_of_its_block(kind):
         assert len(calls) - calls_before < len(plain)
     if kind == "budget":
         assert all(g[0] is AccuracyError for g in got[:2])
+
+
+# ---------------------------------------------------------------------------
+# one stopping rule: a result is returned only within its tolerance
+# ---------------------------------------------------------------------------
+
+def _capped(x):
+    """|x - 1/3|^-0.9 capped at 1e300: integral 18.5622... over [0, 1]."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(np.abs(x - 1 / 3) ** -0.9, 1e300)
+
+
+def _point_mass(x):
+    return np.where(x == 1.0, 1.0, 0.0)
+
+
+#: two rounding widths above 1; a point mass at 1 over (1, _TWO_ULPS)
+_TWO_ULPS = 1.0 + 2 * 2.0 ** -52
+
+
+def test_running_sums_that_cancel_do_not_return_a_result():
+    # the panel at the cap carries an error near 1e300 times its width; once
+    # it is split, the running error sum holds only rounding and ends the
+    # loop, while the errors of the final panels sum to 0.07
+    got, want = batched_and_reference(lambda: integrate(_capped, 0.0, 1.0, CFG))
+    assert got == want
+    kind, message, estimate, error = got
+    assert kind is AccuracyError
+    assert message.startswith("quadrature error over the final panels exceeds the "
+                              "tolerance (estimate ")
+    assert math.isclose(estimate, 18.1378, rel_tol=1e-5)
+    assert math.isclose(error, 0.0707, rel_tol=1e-3)
+    assert error > CFG.rel_tol * abs(estimate)
+
+
+def test_a_panel_too_narrow_to_halve_raises():
+    # both halves of (1, 1 + 2 ulp) are one rounding width wide; the point
+    # mass keeps their errors above the tolerance
+    cfg = QuadratureConfig(abs_tol=1e-300)
+    got, want = batched_and_reference(lambda: integrate(_point_mass, 1.0, _TWO_ULPS, cfg))
+    assert got == want
+    kind, message, estimate, error = got
+    assert kind is AccuracyError
+    assert message.startswith(
+        "quadrature panel [1.0, 1.0000000000000002] is too narrow to halve (estimate ")
+    assert error > max(cfg.abs_tol, cfg.rel_tol * abs(estimate))
+
+
+def test_lockstep_members_stop_short_as_their_own_integrate():
+    fs = [lambda x: x * x, _capped, lambda x: x ** -0.5]
+    assert lockstep_outcomes(fs, CFG, 1.0) == own_outcomes(fs, CFG, 1.0)
+    assert lockstep_outcomes(fs, CFG, 1.0)[1][0] is AccuracyError
+
+
+def test_nodes_stay_off_an_end_at_zero_only():
+    # floats are dense near 0, so the bisection towards it converges
+    res = integrate(lambda x: x ** -0.5, 0.0, 1.0, CFG)
+    assert math.isclose(res.value, 2.0, rel_tol=1e-10)
+    assert res.error_estimate <= CFG.rel_tol * res.value
+    # near 1 a panel 64 ulps wide puts its outermost node on the end
+    with np.errstate(divide="ignore"):
+        got, want = batched_and_reference(
+            lambda: integrate(lambda x: (x - 1.0) ** -0.5, 1.0, 2.0, CFG))
+    assert got == want
+    assert got[:2] == (IntegrationError, "integrand returned a non-finite value "
+                       "in [1.0, 1.0000000000000142]")
+
+
+def test_error_estimates_are_python_floats():
+    # a constant integrand: the rounding floor 50 eps |f| is every panel's error
+    res = integrate(lambda x: np.full_like(x, 3.0), 0.0, 1.0, CFG)
+    assert res.error_estimate > 0.0
+    assert type(res.error_estimate) is float
+    got = outcome(lambda: integrate(lambda x: np.full_like(x, 3.0), 0.0, 1.0,
+                                    QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300,
+                                                     max_subdivisions=1)))
+    assert got[0] is AccuracyError and "np.float64" not in got[1]
+    assert type(got[3]) is float

@@ -6,12 +6,14 @@ import warnings
 import pytest
 
 from gcrit import bounds
-from gcrit.bounds import METHODS, Method, sandwich
+from gcrit.bounds import (METHODS, BoundResult, Method, SandwichReport, Side,
+                          sandwich)
 from gcrit.cli import (CSV_COLUMNS, METHOD_NAMES, RunConfig, RunRecord,
                        build_potential, expand_methods, load_grid_csv, main,
                        render_wide, run)
 from gcrit.errors import ConfigurationError
 from gcrit.potentials import Potential
+from gcrit.quadrature import DEFAULT_CONFIG
 from gcrit.tables import compute_table_row, printed_values, reproduce_table
 
 
@@ -599,3 +601,66 @@ def test_table_artifacts_match_the_reference_writers(monkeypatch, capsys, digits
         assert capsys.readouterr().out == reference_to_csv(art, digits)
         assert main(argv + ["--format", "md"]) == 0
         assert capsys.readouterr().out == reference_to_markdown(art, digits)
+
+
+def test_cli_quadrature_errors_print_plain_floats(tmp_path, capsys):
+    # two panels leave the error at the rounding floor 50 eps |f|, which the
+    # message prints as a plain float
+    cfg = tmp_path / "starved.ini"
+    cfg.write_text("[potential]\nkind = square_well\n\n[run]\nell = 0\n\n"
+                   "[quadrature]\nmax_subdivisions = 2\n")
+    assert main(["compute", "--config", str(cfg), "--methods", "ggmt"]) == 3
+    err = capsys.readouterr().err
+    assert "np.float64(" not in err
+    assert err == ("numerical error: quadrature budget of 2 panels exhausted "
+                   "(estimate 0.4999843665932303, error 4.979684477971163e-10)\n")
+
+
+def test_cli_check_fails_on_a_bound_ordering_violation(monkeypatch, capsys):
+    # a lower limit above the exact value makes sandwich raise, and check
+    # reports it as a failure with exit 1
+    monkeypatch.setattr(bounds, "lower_bargmann_schwinger",
+                        lambda pot, ell, cfg: BoundResult(
+                            Method.BARGMANN_SCHWINGER, Side.LOWER, 3.0, ell))
+    assert main(["check", "--potential", "square_well", "--ell", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "ok   square_well: regular at origin and infinity"
+    assert lines[1].startswith("FAIL bound ordering violated for square_well ell=0: "
+                               "max lower 3.0, exact 2.4674")
+    assert len(lines) == 2
+
+
+def test_cli_check_without_a_potential_visits_every_analytic_kind(monkeypatch, capsys):
+    # every kind at its parameter's default; the shell has none and sits out
+    visited = []
+
+    def stub(pot, ell, cfg):
+        visited.append((pot.label(), ell, cfg))
+        lows = tuple(BoundResult(m, Side.LOWER, 1.0, ell) for m in (
+            Method.BARGMANN_SCHWINGER, Method.SECOND_ORDER, Method.THIRD_ORDER,
+            Method.GGMT))
+        return SandwichReport(pot, ell, lows,
+                              (BoundResult(Method.CALOGERO_I, Side.UPPER, 2.0, ell),),
+                              1.5, 1.5, 0.0)
+
+    monkeypatch.setattr("gcrit.cli.sandwich", stub)
+    assert main(["check"]) == 0
+    labels = ["square_well", "exponential", "yukawa", "stis(alpha=1)"]
+    assert visited == [(label, ell, DEFAULT_CONFIG) for label in labels
+                       for ell in (0, 1, 2)]
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "shell" not in out
+    assert out.count("regular at origin and infinity") == 4
+    assert "stis(alpha=1) ell=2: solvers agree to 0.00e+00" in out
+
+
+def test_cli_compute_out_writes_what_stdout_prints(tmp_path, capsys):
+    argv = ["compute", "--potential", "exponential", "--ell", "0", "1",
+            "--methods", "bargmann_schwinger", "second_order", "--format", "md"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "bounds.md"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    assert printed.startswith("| ell |")
