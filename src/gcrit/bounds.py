@@ -200,8 +200,7 @@ def lower_ggmt_at(pot: Potential, ell: int, p: float,
 
     def integrand(r):
         # overflows at large p on a tall shape; quadrature rejects the inf
-        with np.errstate(over="ignore"):
-            return (r * r * pot.evaluate(r)) ** p / r
+        return (r * r * pot.evaluate(r)) ** p / r
 
     moment = _positive(pot.support_integral(integrand, _rel_cfg(cfg)),
                        f"power moment at p={p}")
@@ -451,11 +450,10 @@ def _trial_weight(pot: Potential, q: float):
         x = np.asarray(x, dtype=float)
         # v itself can overflow (e^-x / x at subnormal x); quadrature rejects
         # the non-finite value
-        with np.errstate(under="ignore", over="ignore"):
-            v = pot.evaluate(x)
-            out = np.zeros_like(v)
-            m = v > 0
-            out[m] = np.exp(q * np.log(x[m]) + ex * np.log(v[m]))
+        v = pot.evaluate(x)
+        out = np.zeros_like(v)
+        m = v > 0
+        out[m] = np.exp(q * np.log(x[m]) + ex * np.log(v[m]))
         return out
 
     return f

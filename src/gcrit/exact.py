@@ -71,8 +71,8 @@ class ShootingState:
 def _segment_radii(pot: Potential, max_radius: float) -> list[float]:
     """Integration segments: [r0, interior breakpoints..., R_match].
 
-    The support radius is computed once per shape instance, so once per
-    solve: every trial strength of a solve integrates the same `pot`."""
+    Called once per solve, by the step polynomial that every trial strength
+    of the solve shares (`_step_polynomial`)."""
     r0 = pot.start_radius
     r_sup = pot.support_radius(_TAIL_TOL, max_radius)
     r_match = r_sup * (1.0 if pot.is_compact else 1.5)
@@ -438,19 +438,21 @@ def largest_eigenvalue(matrix) -> float:
     n = matrix.shape[0]
     b = np.full(n, 1.0 / math.sqrt(n))
     mu_old = math.inf
-    for _ in range(_POWER_MAX_ITERATIONS):
-        y = matrix @ b
-        mu = float(b @ y)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            raise AccuracyError("kernel matrix annihilated the iterate")
-        # a non-finite entry poisons every later iterate, so stop at once
-        if not (math.isfinite(mu) and math.isfinite(norm)):
-            raise AccuracyError("power iteration produced a non-finite iterate")
-        b = y / norm
-        if abs(mu - mu_old) <= _POWER_TOL * abs(mu):
-            return mu
-        mu_old = mu
+    # an overflow is reported as a non-finite iterate, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_POWER_MAX_ITERATIONS):
+            y = matrix @ b
+            mu = float(b @ y)
+            norm = float(np.linalg.norm(y))
+            if norm == 0.0:
+                raise AccuracyError("kernel matrix annihilated the iterate")
+            # a non-finite entry poisons every later iterate, so stop at once
+            if not (math.isfinite(mu) and math.isfinite(norm)):
+                raise AccuracyError("power iteration produced a non-finite iterate")
+            b = y / norm
+            if abs(mu - mu_old) <= _POWER_TOL * abs(mu):
+                return mu
+            mu_old = mu
     raise AccuracyError("power iteration stagnated before reaching tolerance")
 
 

@@ -119,10 +119,9 @@ class Potential:
         if spec and spec.param and not (q is not None and math.isfinite(q) and q > 0):
             raise ConfigurationError(
                 f"{self.kind.value} requires a positive {spec.param}, got {value!r}")
-        # the parameter at unit radius, and the support radii computed so
-        # far; plain attributes, so eq and hash ignore them
+        # the parameter at unit radius; a plain attribute, so eq and hash
+        # ignore it
         object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_radii_memo", {})
         if self.kind is Kind.TABULATED:
             if not self.grid:
                 raise ConfigurationError("tabulated potential requires a nonempty grid")
@@ -267,13 +266,9 @@ class Potential:
 
         Exact cutoff for compact shapes.  For decaying shapes the crossing of
         r*v(r) = tail_tol is bracketed by geometric scan and bisected; a
-        crossing beyond max_radius raises TruncationError.  The shape is
-        immutable, so each radius is computed once per instance.
+        crossing beyond max_radius raises TruncationError.
         """
-        key = (tail_tol, max_radius)
-        if key not in self._radii_memo:
-            self._radii_memo[key] = self._tail_radius(tail_tol, max_radius)
-        return self._radii_memo[key]
+        return self._tail_radius(tail_tol, max_radius)
 
     def _tail_radius(self, tail_tol: float, max_radius: float) -> float:
         if not tail_tol > 0:

@@ -133,19 +133,21 @@ def _panels(f, spans):
     """
     lo, hi = np.array(spans).T
     x, halves = _kronrod_nodes(lo, hi)
-    fv = np.asarray(f(x), dtype=float)
-    if fv.shape != x.shape:
-        fv = np.broadcast_to(fv, x.shape).astype(float)
-    # np.vecdot sums a C-contiguous row with the bits of `_WK @ row`
-    fv = np.ascontiguousarray(fv.reshape(len(spans), 15))
-    finite = np.isfinite(fv).all(axis=1)
-    if not finite.all():
-        fv = np.where(finite[:, None], fv, 0.0)
-    resk = halves * np.vecdot(fv, _WK)
-    resg = halves * np.vecdot(fv, _WG)
-    resabs = halves * np.vecdot(np.abs(fv), _WK)
-    mean = resk / (hi - lo)
-    resasc = halves * np.vecdot(np.abs(fv - mean[:, None]), _WK)
+    # an overflow is reported as a non-finite estimate, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv = np.asarray(f(x), dtype=float)
+        if fv.shape != x.shape:
+            fv = np.broadcast_to(fv, x.shape).astype(float)
+        # np.vecdot sums a C-contiguous row with the bits of `_WK @ row`
+        fv = np.ascontiguousarray(fv.reshape(len(spans), 15))
+        finite = np.isfinite(fv).all(axis=1)
+        if not finite.all():
+            fv = np.where(finite[:, None], fv, 0.0)
+        resk = halves * np.vecdot(fv, _WK)
+        resg = halves * np.vecdot(fv, _WG)
+        resabs = halves * np.vecdot(np.abs(fv), _WK)
+        mean = resk / (hi - lo)
+        resasc = halves * np.vecdot(np.abs(fv - mean[:, None]), _WK)
     out = []
     # the error term in Python floats: numpy's power rounds differently
     for ok, k, g, absum, asc in zip(finite.tolist(), resk.tolist(), resg.tolist(),
@@ -448,21 +450,17 @@ class CumulativeIntegral:
         self._prefix = np.concatenate([[0.0], np.cumsum([p[2] for p in panels])])
 
     def __call__(self, x, *, runs=None):
-        """C at x.  `runs` splits a 1-d x into consecutive runs (their
-        lengths; default one run).  w is evaluated once on the partial panels
-        of all of x, and those of each run are summed in one matrix product:
-        the rounding of a row of a BLAS product can depend on its place in
-        the product, so a nested integral passes each of its panels' reads
-        as one run and gets the bits of one call per panel."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        xs = np.clip(xs, self.lo, self.hi)
-        idx = np.searchsorted(self._lefts, xs, side="right") - 1
-        idx = np.clip(idx, 0, len(self._lefts) - 1)
+        """C at each point of the 1-d float array x, all in [lo, hi].
+        `runs` splits x into consecutive runs (their lengths; default one
+        run).  w is evaluated once on the partial panels of all of x, and
+        those of each run are summed in one matrix product: the rounding of
+        a row of a BLAS product can depend on its place in the product, so a
+        nested integral passes each of its panels' reads as one run and gets
+        the bits of one call per panel."""
+        idx = np.searchsorted(self._lefts, x, side="right") - 1
         out = self._prefix[idx].copy()
         starts = self._lefts[idx]
-        widths = xs - starts
+        widths = x - starts
         live = widths > 0
         if np.any(live):
             # one fused Kronrod pass over all partial panels
@@ -471,16 +469,18 @@ class CumulativeIntegral:
             nodes = centers[:, None] + halves[:, None] * _NODES[None, :]
             # the number of live reads in each run that has any
             seen = np.concatenate([[0], np.cumsum(live)])[
-                np.cumsum([xs.size] if runs is None else runs)]
+                np.cumsum([x.size] if runs is None else runs)]
             counts = [c for c in np.diff(seen, prepend=0) if c]
-            if isinstance(self._w, _Product):
-                fv = self._w(nodes.ravel(), runs=[15 * c for c in counts])
-            else:
-                fv = self._w(nodes.ravel())
-            fv = np.asarray(fv, dtype=float).reshape(nodes.shape)
-            out[live] += halves * np.concatenate(
-                [run @ _WK for run in np.split(fv, np.cumsum(counts)[:-1])])
-        return float(out[0]) if scalar else out
+            # as in `_panels`, a non-finite value is the caller's to report
+            with np.errstate(over="ignore", invalid="ignore"):
+                if isinstance(self._w, _Product):
+                    fv = self._w(nodes.ravel(), runs=[15 * c for c in counts])
+                else:
+                    fv = self._w(nodes.ravel())
+                fv = np.asarray(fv, dtype=float).reshape(nodes.shape)
+                out[live] += halves * np.concatenate(
+                    [run @ _WK for run in np.split(fv, np.cumsum(counts)[:-1])])
+        return out
 
 
 class _Product:

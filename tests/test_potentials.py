@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcrit.errors import ConfigurationError, DomainError, TruncationError
+from gcrit.exact import critical_coupling_nystrom, critical_coupling_shooting
 from gcrit.potentials import AngularMomentum, Kind, Potential
 
 ALL_BUILTINS = [
@@ -280,3 +282,14 @@ def test_evaluate_domain_check_matches_the_old_predicate(pot):
             pot.evaluate(v)
     for shape in ((0,), (0, 3)):
         assert pot.evaluate(np.empty(shape)).shape == shape
+
+
+def test_a_potential_is_a_pure_value():
+    # solves and tail searches leave no state behind on the shape they read
+    pot = Potential.exponential()
+    before = pickle.dumps(pot)
+    critical_coupling_shooting(pot, 0)
+    critical_coupling_nystrom(pot, 0, n=400)
+    critical_coupling_nystrom(pot, 0, n=1600)
+    pot.support_radius(1e-12)
+    assert pickle.dumps(pot) == before

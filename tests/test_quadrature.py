@@ -1,6 +1,8 @@
 import heapq
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -847,3 +849,25 @@ def test_error_estimates_are_python_floats():
                                                      max_subdivisions=1)))
     assert got[0] is AccuracyError and "np.float64" not in got[1]
     assert type(got[3]) is float
+
+
+# the exit code of each method on a grid of magnitude 1e300: one integrand,
+# product or sum of the engine overflows, and so does Nystrom's power iteration
+_HUGE_GRID_EXITS = {"second_order": 3, "third_order": 3, "ggmt": 0,
+                    "variational": 3, "nystrom": 3}
+
+
+@pytest.mark.parametrize("method", list(_HUGE_GRID_EXITS))
+def test_an_overflow_prints_no_warning(tmp_path, method):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.5,1e300\n1.0,1e300\n2.0,0\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gcrit.cli", "compute", "--potential", "tabulated",
+         "--grid-csv", str(grid), "--methods", method],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == _HUGE_GRID_EXITS[method]
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
