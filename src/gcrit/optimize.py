@@ -13,9 +13,9 @@ turns rejected trials into inf.
 Calogero II threshold, the first shooting threshold, a tail radius) as
 generators that yield their trial points and are sent f there; `drive`
 feeds them from one function.  `brentq` polishes a sign change to a root
-(the shooting threshold, Bessel zeros): scipy's Brent iteration rewritten
-in Python with the same float operations in the same order, so it returns
-scipy's root bit for bit and the package imports no scipy.optimize.
+(the shooting threshold, the stis closed form): scipy's Brent iteration
+rewritten in Python with the same float operations in the same order, so it
+returns scipy's root bit for bit and the package imports no scipy.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -49,9 +50,45 @@ def test_bessel_first_zero_j0():
     assert jv(0.0, 0.9 * z) > 0.0
 
 
-def test_bessel_order_domain():
+@pytest.mark.parametrize("nu", [-0.7, 1.1e6, math.inf, math.nan])
+def test_bessel_order_domain(nu):
     with pytest.raises(DomainError):
-        bessel_first_zero(-0.7)
+        bessel_first_zero(nu)
+
+
+def _mpmath_first_zero(nu: float):
+    def j(x):
+        return mpmath.besselj(nu, x)
+
+    if nu < 0:
+        # besseljzero takes nu >= 0; the first zero lies in (pi/2, j_0,1)
+        return mpmath.findroot(j, 2.0)
+    if nu > 100:
+        # besseljzero takes minutes here; start from DLMF 10.21.40 instead
+        return mpmath.findroot(j, nu + 1.8557571 * nu ** (1 / 3) + 1.033150 * nu ** (-1 / 3))
+    return mpmath.besseljzero(nu, 1)
+
+
+@pytest.mark.parametrize("nu", [-0.5, -0.25, 0.0, 0.37, 0.74, 1.0, 2.5, 7.3, 17.5,
+                                59.5, 100.0, 1000.0])
+def test_bessel_first_zero_matches_mpmath(nu):
+    with mpmath.workdps(30):
+        want = _mpmath_first_zero(nu)
+        # J_nu is positive below its first zero and negative below its second
+        assert mpmath.besselj(nu, 0.999 * want) > 0
+        assert abs(bessel_first_zero(nu) - want) <= 5e-15 * want
+
+
+def test_bessel_matrix_size_leaves_no_truncation_error(monkeypatch):
+    """Doubling the recurrence matrix moves the zero by rounding only: the
+    truncation of `_bessel_matrix_size` is below an ulp up to nu = 1e6."""
+    nus = np.concatenate([np.linspace(-0.5, 20.0, 42), np.geomspace(20.0, 1000.0, 40),
+                          [1e4, 1e5, 1e6]])
+    rows = exact._bessel_matrix_size
+    at_rule = [bessel_first_zero(nu) for nu in nus]
+    monkeypatch.setattr(exact, "_bessel_matrix_size", lambda nu: 2 * rows(nu))
+    for nu, z in zip(nus, at_rule):
+        assert abs(bessel_first_zero(nu) - z) <= 4 * math.ulp(z), nu
 
 
 def test_square_well_exact_values():

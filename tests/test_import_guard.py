@@ -1,5 +1,5 @@
-"""The package and its shooting and Nystrom paths run without scipy; only the
-closed-form references import scipy.special."""
+"""The package, its solvers, its closed forms and its commands run without
+scipy, which only the tests use."""
 
 import json
 import os
@@ -34,11 +34,31 @@ def test_compute_with_both_solvers_loads_no_scipy():
     assert _scipy_modules_after(code) == []
 
 
-def test_closed_form_loads_scipy_special_only():
-    loaded = _scipy_modules_after("from gcrit import square_well_exact\n"
-                                  "square_well_exact(0)")
-    assert "scipy.special" in loaded
-    # past scipy.special itself, only scipy's private helpers
-    public = {m.split(".")[1] for m in loaded
-              if m.count(".") and not m.split(".")[1].startswith("_")}
-    assert public <= {"special", "version"}, sorted(loaded)
+def test_closed_forms_load_no_scipy():
+    code = ("from gcrit import (bessel_first_zero, exponential_exact_swave,\n"
+            "                   square_well_exact, stis_exact_swave)\n"
+            "[square_well_exact(ell) for ell in range(6)]\n"
+            "exponential_exact_swave(); stis_exact_swave(1.0); bessel_first_zero(2.5)")
+    assert _scipy_modules_after(code) == []
+
+
+#: a meta path finder that fails every import of scipy or of a submodule
+_REFUSE_SCIPY = """\
+import importlib.abc, sys
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ImportError(f'scipy is refused: {name}')
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def test_commands_and_closed_forms_run_where_scipy_cannot_load():
+    code = (_REFUSE_SCIPY +
+            "from gcrit import cli, exponential_exact_swave, square_well_exact\n"
+            "for argv in (['compute', '--potential', 'square_well', '--ell', '2',\n"
+            "              '--methods', 'all', 'shooting', 'nystrom'],\n"
+            "             ['check'], ['reproduce', '--table', '1']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "square_well_exact(0); exponential_exact_swave()")
+    assert _scipy_modules_after(code) == []
