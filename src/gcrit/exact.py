@@ -32,8 +32,8 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 #: default step of the log-radius RK4 grid; 0.004 keeps the threshold within
 #: 6e-10 relative of the closed forms for l <= 5 (1e-12 to 1.5e-11 at l = 0)
-#: at 0.3-0.5 ms per trial strength, 3.5-30 ms per solve (built-in shapes,
-#: l <= 5, one core of a 2-CPU box)
+#: and within 2.1e-8 of the exact shell(0.1) threshold; 0.3-0.5 ms per trial
+#: strength, 3.5-30 ms per solve (built-in shapes, l <= 5, one core of a 2-CPU box)
 DEFAULT_LOG_STEP = 0.004
 
 _TAIL_TOL = 1e-12

@@ -26,7 +26,7 @@ NYSTROM_400_GAP = {0.1: 5.7e-3, 1e-3: 0.468}
 
 def _mpmath_shell_threshold(ell: int, width: float, guess: float):
     """The oracle's matching condition at 30 digits, with the derivative
-    x f_l(x))' = x f_(l-1)(x) - l f_l(x) of a spherical Bessel function f."""
+    (x f_l(x))' = x f_(l-1)(x) - l f_l(x) of a spherical Bessel function f."""
     w = mpmath.mpf(width)
 
     def riccati(x):
