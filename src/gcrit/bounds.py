@@ -257,21 +257,20 @@ def upper_calogero_I(pot: Potential, ell: int,
 
 
 def _calogero_II_factors(pot: Potential, ell: int, a: float, r):
-    """v(r) and t = (r/a)^(2l), the g-independent parts of the integrand."""
-    v = pot.evaluate(r)
-    with np.errstate(over="ignore"):
-        t = (r / a) ** (2 * ell)
-    return v, t
+    """v(r) and t = (r/a)^(2l), the g-independent parts of the integrand.
+    The caller sets the floating-point error state (see
+    `upper_calogero_II_at`)."""
+    return pot.evaluate(r), (r / a) ** (2 * ell)
 
 
 def _calogero_II_terms(v, t, a: float, g: float):
     """Integrand g v t / (t^2 + a^2 g v) of the nonlinear condition.
 
-    Finite for every r > 0, including shapes unbounded at the origin.
+    Finite for every r > 0 where t^2 does not overflow, including shapes
+    unbounded at the origin.
     """
-    with np.errstate(over="ignore"):
-        den = t * t + a * a * g * v
-        return np.where(den > 0, g * v * t / den, 0.0)
+    den = t * t + a * a * g * v
+    return np.where(den > 0, g * v * t / den, 0.0)
 
 
 def _calogero_II_integrand(pot: Potential, ell: int, a: float, g: float):
@@ -358,8 +357,6 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
             raise f
         return f
 
-    v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
-
     def frozen(g):
         return x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
 
@@ -403,21 +400,27 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
             pass
         return unknown
 
-    try:
+    # the one error state of the Calogero II integrand outside `_panels`
+    # (which sets its own): the frozen factors, the bracket, its checks, the
+    # fallback search and `predicted`; an overflowing t^2 makes a frozen
+    # value non-finite, which rejects the rule, instead of a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
         try:
-            lo, hi = _bracket_threshold(frozen_excess, g0)
-        except SearchRangeError:
-            confirm([g_last])
-            if (excess(g_last) >= 0) == (f_last >= 0):
-                raise
-            raise _RuleRejected from None
-        confirm([lo, hi])
-        if not excess(lo) < 0 <= excess(hi):
-            raise _RuleRejected
-    except (_RuleRejected, AccuracyError, IntegrationError):
-        # a check that fails or cannot be evaluated proves nothing; the
-        # search on adaptive values decides, and raises whatever it meets
-        lo, hi = _bracket_threshold(excess, g0)
+            try:
+                lo, hi = _bracket_threshold(frozen_excess, g0)
+            except SearchRangeError:
+                confirm([g_last])
+                if (excess(g_last) >= 0) == (f_last >= 0):
+                    raise
+                raise _RuleRejected from None
+            confirm([lo, hi])
+            if not excess(lo) < 0 <= excess(hi):
+                raise _RuleRejected
+        except (_RuleRejected, AccuracyError, IntegrationError):
+            # a check that fails or cannot be evaluated proves nothing; the
+            # search on adaptive values decides, and raises whatever it meets
+            lo, hi = _bracket_threshold(excess, g0)
     return BoundResult(Method.CALOGERO_II, Side.UPPER, hi, ell, optimal_param=a)
 
 

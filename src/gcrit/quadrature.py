@@ -2,16 +2,17 @@
 
 The base rule is the 15-point Gauss-Kronrod pair; panels are refined by
 bisection, worst error first.  Each refinement step calls the integrand at
-most once, on the nodes of all the panels it evaluates (every initial panel,
-then both halves of a split).  Along a chain of splits on one side the call
-also evaluates ahead, the halves of the panels the chain would split next,
-which the refinement uses later in its own order: results are those of one
-call per split, but a call can include nodes of panels the final partition
-never uses.  Integrands must therefore be pointwise (a value may not depend
-on the other nodes of the call) and must tolerate any point strictly inside
-the interval.  Nodes stay off an end at 0, where floats are dense, so
-integrable singularities there need no special casing; at another end a
-panel some 64 ulps wide can put a node on it (`integrate`).  Semi-infinite
+most once per `MAX_CALL_NODES` nodes, on the nodes of all the panels it
+evaluates (every initial panel, then both halves of a split).  Along a chain
+of splits on one side the call also evaluates ahead, the halves of the
+panels the chain would split next, which the refinement uses later in its
+own order: results are those of one call per split, but a call can include
+nodes of panels the final partition never uses.  Integrands must therefore
+be pointwise (a value may not depend on the other nodes of the call) and
+must tolerate any point strictly inside the interval.  Nodes stay off an
+end at 0, where floats are dense, so integrable singularities there need no
+special casing; at another end a panel some 64 ulps wide can put a node on
+it (`integrate`).  Semi-infinite
 integrals map [a, inf) onto [0, 1) with x = a + t/(1-t), which preserves
 polynomial-times-exponential decay well.
 
@@ -19,9 +20,15 @@ The refinement (`_refinement`) is written once, as a generator that asks
 for the estimates of the panels it needs and is sent them.  One driver
 (`_drive`) answers: for `_adaptive` (behind `integrate`, `CumulativeIntegral`
 and `FixedRule`) with one integrand, for `lockstep` with a family of m
-integrands on one axis, in one integrand call per round over every
-unfinished member, while each member keeps its own heap, look-ahead, budget
-and errors.
+integrands on one axis, in one integrand call per round (and per
+`MAX_CALL_NODES` nodes) over every unfinished member, while each member
+keeps its own heap, look-ahead, budget and errors.
+
+No integrand call takes more than `MAX_CALL_NODES` nodes unless one read
+run of a `CumulativeIntegral` is longer, so the memory of a pass, nested
+or lockstep, stays flat as the panels of a round multiply with the grid.
+Each panel's estimate and each run's sum is that of a call of its own, so
+the blocks change no value.
 
 A parameter search integrates nearly the same integrands trial after trial,
 so within `replaying` a refinement replays a tree, the spans a like
@@ -80,6 +87,10 @@ _WG[1:7:2] = _WG_HALF
 _WG[7] = _WG_CENTER
 _WG[9:15:2] = _WG_HALF[::-1]
 _XK_OUTER = float(_XK_HALF[0])
+
+#: the most nodes one integrand call takes (256 KB per float64 array); a
+#: larger round or read is evaluated in consecutive blocks
+MAX_CALL_NODES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -309,10 +320,11 @@ def _drive(steps, panels, predicted):
     """Run the refinements `steps`, all on one axis, together to their ends,
     and return the value of each.
 
-    Each round makes one call `panels(spans, members)` for the `_panels`
-    estimates of spans, where members[i] is the step span i is for.  Each
-    step keeps its estimates by span, and a round asks only for the spans it
-    requests that its step has no estimate of yet.  The first round also
+    Each round calls `panels(spans, members)` for the `_panels` estimates of
+    spans, where members[i] is the step span i is for, once per block of at
+    most `MAX_CALL_NODES` // 15 consecutive spans.  Each step keeps its
+    estimates by span, and a round asks only for the spans it requests that
+    its step has no estimate of yet.  The first round also
     asks, for every step, for the spans of the tree `predicted`.  An
     estimate depends only on its span and integrand, so every result and
     error is that of one call per request, and a predicted panel where the
@@ -331,8 +343,10 @@ def _drive(steps, panels, predicted):
             spans += new
             members += [k] * len(new)
         predicted = ()
-        if spans:
-            for k, span, est in zip(members, spans, panels(spans, members)):
+        step = MAX_CALL_NODES // 15
+        for i in range(0, len(spans), step):
+            block, of = spans[i:i + step], members[i:i + step]
+            for k, span, est in zip(of, block, panels(block, of)):
                 caches[k][span] = est
         for k, need in list(wanted.items()):
             try:
@@ -370,9 +384,10 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
     """Integrate f over the finite interval (a, b).
 
     f must accept numpy arrays and be pointwise: it is called at most once
-    per refinement step, on the nodes of several panels, some of which the
-    refinement may never use (see `_refinement`).  Nodes never touch an end
-    at 0 but can touch another: (x-1)**-0.5 raises IntegrationError on (1, 2).
+    per refinement step and `MAX_CALL_NODES` nodes, on the nodes of several
+    panels, some of which the refinement may never use (see `_refinement`).
+    Nodes never touch an end at 0 but can touch another: (x-1)**-0.5 raises
+    IntegrationError on (1, 2).
     `points` seeds panel edges at known breakpoints of the integrand.
     """
     a, b = float(a), float(b)
@@ -414,14 +429,15 @@ def lockstep(f, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
     f(x, k) gives the values of integrand k[i] at x[i], for an integer
     array k.  Each member runs its own `_refinement` (its own heap, chain
-    look-ahead, budget and errors), and each round calls f once on the nodes
-    of the spans the unfinished members ask for, after the first round only
-    those not yet evaluated for them: within `replaying` the first round
-    also evaluates, for each member, the latest tree of the block on this
-    axis, such as that of the `FixedRule` a search has just built.  Returns,
-    per member, the `IntegralResult` of `integrate` or `integrate_semi_infinite`
-    on that integrand, or the AccuracyError or IntegrationError it would
-    raise; an exception of f itself propagates.
+    look-ahead, budget and errors), and each round calls f once per
+    `MAX_CALL_NODES` nodes of the spans the unfinished members ask for,
+    after the first round only those not yet evaluated for them: within
+    `replaying` the first round also evaluates, for each member, the latest
+    tree of the block on this axis, such as that of the `FixedRule` a search
+    has just built.  Returns, per member, the `IntegralResult` of
+    `integrate` or `integrate_semi_infinite` on that integrand, or the
+    AccuracyError or IntegrationError it would raise; an exception of f
+    itself propagates.
     """
     lo, hi, wrap, seeds = _axis(upper, points)
     g = wrap(f)
@@ -452,35 +468,52 @@ class CumulativeIntegral:
     def __call__(self, x, *, runs=None):
         """C at each point of the 1-d float array x, all in [lo, hi].
         `runs` splits x into consecutive runs (their lengths; default one
-        run).  w is evaluated once on the partial panels of all of x, and
-        those of each run are summed in one matrix product: the rounding of
-        a row of a BLAS product can depend on its place in the product, so a
-        nested integral passes each of its panels' reads as one run and gets
-        the bits of one call per panel."""
+        run).  w is evaluated on the partial panels of whole runs, once per
+        block of runs with at most `MAX_CALL_NODES` nodes (a longer run is a
+        block of its own), and those of each run are summed in one matrix
+        product: the rounding of a row of a BLAS product can depend on its
+        place in the product, so a nested integral passes each of its
+        panels' reads as one run and gets the bits of one call per panel."""
         idx = np.searchsorted(self._lefts, x, side="right") - 1
         out = self._prefix[idx].copy()
         starts = self._lefts[idx]
         widths = x - starts
-        live = widths > 0
-        if np.any(live):
-            # one fused Kronrod pass over all partial panels
-            centers = starts[live] + 0.5 * widths[live]
-            halves = 0.5 * widths[live]
-            nodes = centers[:, None] + halves[:, None] * _NODES[None, :]
-            # the number of live reads in each run that has any
-            seen = np.concatenate([[0], np.cumsum(live)])[
-                np.cumsum([x.size] if runs is None else runs)]
-            counts = [c for c in np.diff(seen, prepend=0) if c]
-            # as in `_panels`, a non-finite value is the caller's to report
-            with np.errstate(over="ignore", invalid="ignore"):
+        live = np.flatnonzero(widths > 0)
+        # the number of live reads in each run that has any
+        seen = np.searchsorted(live, np.cumsum([x.size] if runs is None else runs))
+        counts = [c for c in np.diff(seen, prepend=0).tolist() if c]
+        done = 0
+        # as in `_panels`, a non-finite value is the caller's to report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in _blocks(counts, MAX_CALL_NODES // 15):
+                i = live[done:done + sum(block)]
+                done += i.size
+                # one fused Kronrod pass over the block's partial panels
+                centers = starts[i] + 0.5 * widths[i]
+                halves = 0.5 * widths[i]
+                nodes = centers[:, None] + halves[:, None] * _NODES[None, :]
                 if isinstance(self._w, _Product):
-                    fv = self._w(nodes.ravel(), runs=[15 * c for c in counts])
+                    fv = self._w(nodes.ravel(), runs=[15 * c for c in block])
                 else:
                     fv = self._w(nodes.ravel())
                 fv = np.asarray(fv, dtype=float).reshape(nodes.shape)
-                out[live] += halves * np.concatenate(
-                    [run @ _WK for run in np.split(fv, np.cumsum(counts)[:-1])])
+                out[i] += halves * np.concatenate(
+                    [run @ _WK for run in np.split(fv, np.cumsum(block)[:-1])])
         return out
+
+
+def _blocks(sizes, cap):
+    """`sizes` cut into consecutive lists, each summing to at most cap
+    unless it holds a single size above cap."""
+    block, total = [], 0
+    for n in sizes:
+        if block and total + n > cap:
+            yield block
+            block, total = [], 0
+        block.append(n)
+        total += n
+    if block:
+        yield block
 
 
 class _Product:

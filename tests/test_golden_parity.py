@@ -1,8 +1,8 @@
 """Tier-1 guard on the benchmark's golden baseline.
 
 `perfbench/golden.json` records every output of the benchmark items at the
-commit that defined it.  Recomputing three table rows, one sandwich on a
-tabulated grid, the shooting solves of two shapes and all 60 Nystrom solves
+commit that defined it.  Recomputing three table rows, two sandwiches on
+tabulated grids, the shooting solves of two shapes and all 60 Nystrom solves
 here makes a numerical drift beyond 1e-12 relative fail the test suite, not
 only the benchmark.  The file is only read.
 """
@@ -53,10 +53,16 @@ def _close(got: dict, want: dict):
                 (key, got[key], ref)
 
 
-def test_sweep_item_matches_golden(golden, workloads):
+@pytest.mark.parametrize("knots, shape, ell", [
+    (16, 0, 1),
+    # a 4,042-span lockstep round and a 216,000-node third-order read, each
+    # evaluated in blocks of quadrature.MAX_CALL_NODES nodes
+    (64, 1, 2),
+])
+def test_sweep_item_matches_golden(golden, workloads, knots, shape, ell):
     # a tabulated grid, which the numerics take in its own units; the item
     # is built by the benchmark's own generator, so its grid is the golden one
-    item = workloads.sweep_item(16, 0, 1)
+    item = workloads.sweep_item(knots, shape, ell)
     _close(item.call(), golden[item.key]["out"])
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,144 @@ def test_cumulative_read_calls_its_weight_once():
         calls.update(w2=0, w3=0)
         middle(x, runs=runs)
         assert calls == {"w2": 1, "w3": 1}
+
+
+# ---------------------------------------------------------------------------
+# freeze, then verify: integrand calls capped at MAX_CALL_NODES nodes
+# ---------------------------------------------------------------------------
+
+UNCAPPED = 2 ** 62   # every round and every read in one integrand call
+CAP = 2 ** 15        # the most nodes of an integrand call, as the README states
+
+
+def evaluate_sizes(m):
+    """Patch Potential.evaluate, within the MonkeyPatch m, to record the
+    size of each call; returns that record."""
+    sizes = [0]
+    evaluate = Potential.evaluate
+
+    def spy(self, r):
+        sizes.append(np.size(r))
+        return evaluate(self, r)
+
+    m.setattr(Potential, "evaluate", spy)
+    return sizes
+
+
+def capped_and_uncapped(compute):
+    """(outcome, largest Potential.evaluate call) of compute() with the
+    calls capped, then with the cap out of reach."""
+    results = []
+    for cap in (quadrature.MAX_CALL_NODES, UNCAPPED):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quadrature, "MAX_CALL_NODES", cap)
+            sizes = evaluate_sizes(m)
+            try:
+                got = compute()
+            except (AccuracyError, IntegrationError, bounds.SearchRangeError) as exc:
+                got = (type(exc), str(exc))
+        results.append((got, max(sizes)))
+    return results
+
+
+def _biased_rule(m):
+    """Make every frozen Calogero II search fall back to lockstep passes."""
+    integral = FixedRule.integral
+    m.setattr(FixedRule, "integral", lambda self, values: 1.5 * integral(self, values))
+
+
+@pytest.mark.parametrize("name", ["second_order", "third_order", "variational_at",
+                                  "calogero_II_at", "calogero_II_at/fallback"])
+def test_capped_bounds_match_one_call_per_round(sweep_grid, name):
+    pot = sweep_grid(256, 0)
+    compute = {
+        "second_order": lambda: bounds.lower_second_order(pot, 1),
+        "third_order": lambda: bounds.lower_third_order(pot, 1),
+        "variational_at": lambda: bounds.upper_variational_at(pot, 1, 1.3),
+        "calogero_II_at": lambda: bounds.upper_calogero_II_at(pot, 1, 0.5 * pot.scale),
+        "calogero_II_at/fallback": lambda: bounds.upper_calogero_II_at(pot, 1, pot.scale),
+    }[name]
+    with pytest.MonkeyPatch.context() as m:
+        if name.endswith("/fallback"):
+            _biased_rule(m)
+        (got, largest), (want, uncapped) = capped_and_uncapped(
+            lambda: (lambda res: (res.value, res.optimal_param))(compute()))
+    assert got == want
+    assert largest <= CAP
+    if name != "calogero_II_at":   # its rounds stay below the cap on 256 knots
+        assert uncapped > CAP
+
+
+def test_capped_lockstep_round_matches_one_call_per_round(sweep_grid):
+    pot = sweep_grid(64, 1)
+    fs = [lambda r, p=p: pot.evaluate(r) ** p for p in np.linspace(0.2, 3.0, 40)]
+    outcomes = []
+    for cap in (quadrature.MAX_CALL_NODES, UNCAPPED):
+        calls = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quadrature, "MAX_CALL_NODES", cap)
+            res = quadrature.lockstep(family(fs, calls), len(fs), CFG,
+                                      upper=pot.cutoff, points=pot.breakpoints())
+        outcomes.append(([outcome(lambda r=r: _raise(r) if isinstance(r, Exception) else r)
+                          for r in res], calls))
+    (got, capped), (want, uncapped) = outcomes
+    assert got == want
+    assert uncapped[0] == len(fs) * 15 * 64 > CAP
+    assert max(capped) <= CAP
+    assert sum(capped) == sum(uncapped)
+
+
+def test_capped_cumulative_read_keeps_its_runs_whole():
+    sizes = []
+
+    def weight(z):
+        sizes.append(z.size)
+        return np.exp(-z) * z
+
+    inner = quadrature.CumulativeIntegral(weight, 0.0, 4.0, CFG)
+    x = np.random.default_rng(5).uniform(0.0, 4.0, 4 * 2184)
+    for runs in ([15] * (x.size // 15) + [x.size % 15], [2184] * 2 + [4368],
+                 [2185, 2183] * 2):
+        got = []
+        for cap in (quadrature.MAX_CALL_NODES, UNCAPPED):
+            sizes.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(quadrature, "MAX_CALL_NODES", cap)
+                got.append((inner(x, runs=runs), list(sizes)))
+        (capped, blocks), (uncapped, one) = got
+        assert np.array_equal(capped, uncapped)
+        assert one == [15 * x.size]
+        assert sum(blocks) == 15 * x.size
+        # each call holds whole runs, more than one only within the cap
+        ends = set(np.cumsum(runs).tolist())
+        assert set(np.cumsum(blocks) // 15) <= ends
+        for n in blocks:
+            assert n <= CAP or n // 15 in runs
+    assert blocks == [15 * n for n in runs]
+
+
+def test_third_order_calls_stay_under_the_cap_on_1024_knots(sweep_grid):
+    pot = sweep_grid(1024, 0)
+    with pytest.MonkeyPatch.context() as m:
+        sizes = evaluate_sizes(m)
+        bounds.lower_third_order(pot, 1)
+    assert len(sizes) > 2
+    assert max(sizes) <= CAP
+
+
+def test_third_order_memory_stays_flat_on_1024_knots(sweep_grid):
+    # one call per round and read evaluates the innermost weight at all
+    # 1024 * 15**3 nodes of the first round at once, a traced peak of about
+    # 95 MB on this grid; capped calls peak at about 4.5 MB
+    pot = sweep_grid(1024, 0)
+    bounds.lower_third_order(pot, 1)
+    tracemalloc.start()
+    try:
+        bounds.lower_third_order(pot, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 

@@ -1,7 +1,11 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from gcrit.errors import ConfigurationError
 from gcrit.potentials import Potential
 from gcrit.quadrature import DEFAULT_CONFIG
 from gcrit.tables import compute_table_row, printed_values, reproduce_table
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_printed_values_spot_checks():
@@ -151,6 +157,22 @@ def test_cli_compute_says_when_every_trial_is_rejected(capsys):
     err = capsys.readouterr().err
     assert err == ("numerical error: every trial of the search was rejected, the last "
                    "because sufficient condition never reached 1 below g = 1e+06\n")
+
+
+def test_cli_calogero_II_overflow_prints_only_the_error():
+    # at l = 20 on a narrow shell, (r/a)^(2l) overflows at the frozen rule's
+    # nodes; the numerical error must be the only line on stderr
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gcrit.cli", "compute", "--potential", "shell",
+         "--shell-width", "1e-3", "--ell", "20", "--methods", "calogero_ii"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical error: every trial of the search was rejected, "
+                           "the last because integrand returned a non-finite value "
+                           "in [0.0, 1.0]\n")
 
 
 def test_cli_records_format(capsys):
