@@ -522,9 +522,8 @@ def test_capped_bounds_match_one_call_per_round(sweep_grid, name):
     with pytest.MonkeyPatch.context() as m:
         if name.endswith("/fallback"):
             _biased_rule(m)
-        (got, largest), (want, uncapped) = capped_and_uncapped(
-            lambda: (lambda res: (res.value, res.optimal_param))(compute()))
-    assert got == want
+        (got, largest), (want, uncapped) = capped_and_uncapped(compute)
+    assert got == want   # the whole BoundResult: value and optimal_param
     assert largest <= CAP
     if name != "calogero_II_at":   # its rounds stay below the cap on 256 knots
         assert uncapped > CAP
@@ -590,7 +589,7 @@ def test_third_order_calls_stay_under_the_cap_on_1024_knots(sweep_grid):
 def test_third_order_memory_stays_flat_on_1024_knots(sweep_grid):
     # one call per round and read evaluates the innermost weight at all
     # 1024 * 15**3 nodes of the first round at once, a traced peak of about
-    # 95 MB on this grid; capped calls peak at about 4.5 MB
+    # 95 MiB on this grid; capped calls peak at about 4.2 MiB
     pot = sweep_grid(1024, 0)
     bounds.lower_third_order(pot, 1)
     tracemalloc.start()
