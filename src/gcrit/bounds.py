@@ -283,27 +283,22 @@ def _calogero_II_integrand(pot: Potential, ell: int, a: float, g: float):
 G_SEARCH_RANGE = (1e-6, 1e6)
 
 
-def _threshold_trials(g_start: float):
-    """The strengths `_bracket_threshold` tries, as a generator for `drive`."""
+def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
+    """Smallest g with excess(g) >= 0 for an excess increasing in g, as (lo,
+    hi) with excess(lo) < 0 <= excess(hi): a bracket widened by factors of 4
+    from g_start in G_SEARCH_RANGE, then bisected to 1e-12 relative."""
     g_lo, g_hi = G_SEARCH_RANGE
-    lo, hi = yield from bracket(g_start, 4.0, 4.0, g_lo, g_hi)
+    lo, hi = drive(excess, bracket(g_start, 4.0, 4.0, g_lo, g_hi))
     if lo is None:
         raise SearchRangeError(f"sufficient condition already holds at g = {g_lo:g}")
     if hi is None:
         raise SearchRangeError(f"sufficient condition never reached 1 below g = {g_hi:g}")
     # plain bisection: the left side is monotone in g, so this cannot fail
-    return (yield from bisect(lo, hi, 1e-12))
-
-
-def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
-    """Smallest g with excess(g) >= 0 for an excess increasing in g, as (lo,
-    hi) with excess(lo) < 0 <= excess(hi): a bracket widened by factors of 4
-    from g_start in G_SEARCH_RANGE, then bisected to 1e-12 relative."""
-    return drive(excess, _threshold_trials(g_start))
+    return drive(excess, bisect(lo, hi, 1e-12))
 
 
 class _RuleRejected(Exception):
-    """The frozen Calogero II rule failed a check against adaptive quadrature."""
+    """The frozen Calogero II rule turned non-finite."""
 
 
 def upper_calogero_II_at(pot: Potential, ell: int, a: float,
@@ -317,15 +312,14 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
 
     The search runs on a frozen rule: the nodes and weights of the adaptive
     pass at g_trial, with v and (r/a)^(2l) cached there, so every further
-    trial g costs one vectorized sum.  Adaptive quadrature then confirms the
-    outcome: excess(lo) < 0 <= excess(hi) for the final bracket, both in one
-    `lockstep` pass, or the sign at the last sample before a
-    SearchRangeError.  When a check fails or the rule turns non-finite, the
-    search reruns on adaptive values: each strength it asks for that is not
-    yet known is evaluated in one lockstep pass together with the rest of
-    the path the frozen rule predicts from there.  Every value and error is
-    that of its own adaptive integral, and an error raises only at a
-    strength the search asks for.
+    trial g costs one vectorized sum.  The outcome stands if adaptive
+    quadrature, in one `lockstep` pass, agrees in sign at the samples that
+    decided it: the final bracket, or the last sample before a
+    SearchRangeError.  Otherwise the search reruns on adaptive values, and
+    its first unknown strength is evaluated in one lockstep pass with every
+    strength the frozen search tried.  Every value and error is that of its
+    own adaptive integral, and an error raises only at a strength the
+    search asks for.
     """
     ell = AngularMomentum(ell).ell
     if not a > 0:
@@ -338,10 +332,13 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     # the adaptive excess by strength, or the error its integral raised; the
     # rule's own pass is the adaptive value at g0
     known = {g0: x * rule.total - 1.0}
+    sampled = {}   # the frozen excess by strength, in the order tried
 
     def confirm(gs):
         """Evaluate the adaptive excess at the new strengths of gs."""
         new = np.array([g for g in dict.fromkeys(gs) if g not in known])
+        if not new.size:
+            return
 
         def family(r, k):
             return _calogero_II_integrand(unit, ell, x, new[k])(r)
@@ -351,76 +348,43 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
 
     def excess(g):
         if g not in known:
-            confirm(predicted())   # g comes first
+            # a first miss also evaluates the strengths the frozen search tried
+            confirm([g, *sampled])
         f = known[g]
         if isinstance(f, Exception):
             raise f
         return f
 
-    def frozen(g):
-        return x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
-
-    g_last, f_last = g0, known[g0]
-
     def frozen_excess(g):
-        nonlocal g_last, f_last
-        if g == g0:
-            return known[g0]
-        f = frozen(g)
+        f = known[g0] if g == g0 else x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
         if not math.isfinite(f):
             raise _RuleRejected
-        g_last, f_last = g, f
+        sampled[g] = f
         return f
 
-    def predicted():
-        """The unknown strengths a search asks for, in order, on the known
-        adaptive values and beyond them on the frozen rule, shifted to agree
-        at the last known strength; up to a known error, a non-finite
-        prediction or the end of the search."""
-        unknown = []
-        shift = None
-        trials = _threshold_trials(g0)   # its first trial, g0, is known
-        try:
-            g = next(trials)
-            while True:
-                if g in known:
-                    f = known[g]
-                    if isinstance(f, Exception):
-                        break
-                    g_known = g
-                else:
-                    if shift is None:
-                        shift = known[g_known] - frozen(g_known)
-                    f = frozen(g) + shift
-                    unknown.append(g)
-                    if not math.isfinite(f):
-                        break
-                g = trials.send(f)
-        except (StopIteration, SearchRangeError):
-            pass
-        return unknown
-
     # the one error state of the Calogero II integrand outside `_panels`
-    # (which sets its own): the frozen factors, the bracket, its checks, the
-    # fallback search and `predicted`; an overflowing t^2 makes a frozen
-    # value non-finite, which rejects the rule, instead of a warning
+    # (which sets its own): the frozen factors and search; an overflowing
+    # t^2 makes a frozen value non-finite, which rejects the rule, instead
+    # of a warning
     with np.errstate(over="ignore", invalid="ignore"):
         v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
+        failure, decided = None, ()
         try:
-            try:
-                lo, hi = _bracket_threshold(frozen_excess, g0)
-            except SearchRangeError:
-                confirm([g_last])
-                if (excess(g_last) >= 0) == (f_last >= 0):
-                    raise
-                raise _RuleRejected from None
-            confirm([lo, hi])
-            if not excess(lo) < 0 <= excess(hi):
-                raise _RuleRejected
-        except (_RuleRejected, AccuracyError, IntegrationError):
-            # a check that fails or cannot be evaluated proves nothing; the
-            # search on adaptive values decides, and raises whatever it meets
-            lo, hi = _bracket_threshold(excess, g0)
+            decided = _bracket_threshold(frozen_excess, g0)
+        except SearchRangeError as exc:
+            failure, decided = exc, [next(reversed(sampled))]   # the last sample
+        except _RuleRejected:
+            pass
+    confirm(decided)
+    if decided and all(not isinstance(known[g], Exception)
+                       and (known[g] >= 0) == (sampled[g] >= 0) for g in decided):
+        if failure is not None:
+            raise failure
+        lo, hi = decided
+    else:
+        # a check that fails or cannot be evaluated proves nothing; the
+        # search on adaptive values decides, and raises whatever it meets
+        lo, hi = _bracket_threshold(excess, g0)
     return BoundResult(Method.CALOGERO_II, Side.UPPER, hi, ell, optimal_param=a)
 
 

@@ -133,6 +133,8 @@ class Potential:
                 raise ConfigurationError("grid radii must be positive and strictly increasing")
             if np.any(values < 0):
                 raise ConfigurationError("grid values must be nonnegative")
+            if not np.any(values > 0):
+                raise ConfigurationError("grid values must not all be zero")
             radii.flags.writeable = False
             values.flags.writeable = False
             object.__setattr__(self, "_radii", radii)

@@ -374,19 +374,27 @@ def search_outcome(search):
         return type(exc), str(exc)
 
 
-def observed_walk(pot, ell, a, g_trial, cfg, trap=()):
+def observed_walk(pot, ell, a, g_trial, cfg, trap=(), asked=None):
     """Run upper_calogero_II_at and return the outcome of each of its
     searches, as search_outcome gives it, and the set of strengths each
     lockstep pass evaluated; a lockstep member at a strength in `trap` meets
-    a NaN (the frozen rule does not)."""
+    a NaN (the frozen rule does not).  `asked` collects, per search, the
+    strengths it asks for."""
     searches, passes = [], []
+    asked = [] if asked is None else asked
     bracket = bounds_module._bracket_threshold
     lockstep = bounds_module.lockstep
     terms = bounds_module._calogero_II_terms
 
     def counted(excess, g_start):
+        asked.append([])
+
+        def recorded(g):
+            asked[-1].append(g)
+            return excess(g)
+
         try:
-            searches.append(bracket(excess, g_start))
+            searches.append(bracket(recorded, g_start))
         except Exception as exc:
             searches.append((type(exc), str(exc)))
             raise
@@ -419,8 +427,7 @@ def _biased(factor):
 
 def _nan_after(calls):
     """A FixedRule.integral that turns NaN after `calls` calls, so that the
-    frozen search is rejected and every prediction stops at its first
-    unknown strength."""
+    frozen search is rejected before it ends."""
     integral = FixedRule.integral
     seen = []
 
@@ -436,11 +443,13 @@ def _nan_after(calls):
 FALLBACKS = {
     # the rule is off by ~1e-9 at both ends of its bracket (search config)
     "natural/exponential/3": (EXP, 3, 0.834, 1.0, None, 4),
+    # a rule off by 1e-6 parts from the walk's path about halfway through
+    # the bisection, so each later step takes a pass of its own
     "biased/tabulated64/3": (CALOGERO_II_SHAPES["tabulated64"][0], 3, 1.408, 1.0,
-                             lambda: _biased(1.0 + 1e-6), 4),
-    "biased/yukawa/0": (YUK, 0, 0.641, 40.0, lambda: _biased(1.0 - 1e-6), 4),
+                             lambda: _biased(1.0 + 1e-6), 26),
+    "biased/yukawa/0": (YUK, 0, 0.641, 40.0, lambda: _biased(1.0 - 1e-6), 26),
     "biased/shell/3": (Potential.shell(0.1), 3, 0.678, 1.0,
-                       lambda: _biased(1.0 + 1e-6), 4),
+                       lambda: _biased(1.0 + 1e-6), 26),
     # the rule brackets a threshold that adaptive quadrature never reaches
     "range/square_well/0": (SW, 0, 25.0, 1.0, lambda: _biased(1e3), None),
     "nan/exponential/0": (EXP, 0, 1.594, 1.0, lambda: _nan_after(5), None),
@@ -453,7 +462,8 @@ def test_calogero_II_fallback_walk_matches_sequential_search(monkeypatch, case):
     want = search_outcome(lambda: reference_bracket(pot, ell, a, g_trial, SEARCH_CFG))
     if integral is not None:
         monkeypatch.setattr(FixedRule, "integral", integral())
-    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG)
+    asked = []
+    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, asked=asked)
     assert len(searches) == 2   # the frozen search, rejected, then the walk
     assert searches[-1] == want
     evaluated = [g for p in passes for g in p]
@@ -461,13 +471,21 @@ def test_calogero_II_fallback_walk_matches_sequential_search(monkeypatch, case):
     assert g_trial not in evaluated   # the rule's own pass is the value there
     if most is not None:
         assert len(passes) <= most, [len(p) for p in passes]
+    if case.startswith("biased"):
+        # the check's pass, then the walk's first miss with the rest of the
+        # frozen path, then one pass per further miss
+        frozen, walk = asked
+        check, first, *later = passes
+        miss = next(g for g in walk if g != g_trial and g not in check)
+        assert first == {miss} | (set(frozen) - {g_trial} - check)
+        assert all(len(p) == 1 for p in later), [len(p) for p in later]
     if case.startswith("range"):
         assert want[0] is SearchRangeError
 
 
 @pytest.mark.parametrize("case", ["natural/exponential/3", "biased/yukawa/0"])
 def test_calogero_II_walk_ignores_errors_it_never_visits(monkeypatch, case):
-    # a strength the walk predicted but the search never asks for may
+    # a strength the walk evaluated ahead but the search never asks for may
     # neither raise nor change the bracket
     pot, ell, a, g_trial, integral, _ = FALLBACKS[case]
     visited = []

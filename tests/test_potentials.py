@@ -81,6 +81,8 @@ def test_constructor_validation():
         Potential.tabulated([(0.5, -1.0), (1.0, 0.0)])
     with pytest.raises(ConfigurationError):
         Potential(Kind.SQUARE_WELL, alpha=3.0)  # stray parameter
+    with pytest.raises(ConfigurationError, match="must not all be zero"):
+        Potential.tabulated([(1.0, 0.0)])
 
 
 @given(st.floats(0.01, 50.0))

@@ -220,6 +220,20 @@ def test_cli_tabulated_grid(tmp_path, capsys):
     assert float(out.splitlines()[1].split(",")[1]) > 0.0
 
 
+GRID_METHODS = [m.value for m, spec in METHODS.items() if spec.kind is None]
+
+
+@pytest.mark.parametrize("argv", [["compute", "--methods", m] for m in GRID_METHODS]
+                         + [["check"]])
+def test_cli_all_zero_grid_is_one_configuration_error(tmp_path, capsys, argv):
+    assert len(GRID_METHODS) == 9
+    grid = tmp_path / "zero.csv"
+    grid.write_text("1.0,0\n")
+    assert main([*argv, "--potential", "tabulated", "--grid-csv", str(grid)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: grid values must not all be zero\n")
+
+
 def test_load_grid_csv_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("radius,value\n0.5,2.0\nnot,a,number\n")
