@@ -324,6 +324,9 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     ell = AngularMomentum(ell).ell
     if not a > 0:
         raise DomainError("matching radius a must be positive")
+    if not g_trial > 0:
+        # a NaN would pass the clamp below, and the bracket never leave it
+        raise DomainError("trial strength g_trial must be positive")
     unit, x = pot.unit, a / pot.scale
     g_lo, g_hi = G_SEARCH_RANGE
     g0 = min(max(g_trial, g_lo), g_hi)
@@ -553,6 +556,10 @@ METHODS = {spec.method: spec for spec in (
 
 #: relative slack of the bracketing order max lower <= exact <= min upper
 ORDERING_TOL = 1e-6
+#: relative slack of a lower limit that must be at least another
+MONOTONE_TOL = 1e-9
+#: the most the two solvers may differ, relative to shooting
+SOLVER_AGREEMENT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -587,6 +594,31 @@ class SandwichReport:
 
     def ordering_ok(self) -> bool:
         return self.lower_margin >= -ORDERING_TOL and self.upper_margin >= -ORDERING_TOL
+
+    @property
+    def lower_sequence(self) -> tuple[float, float, float]:
+        """The Bargmann-Schwinger, second- and third-order lower limits."""
+        return tuple(self.by_method(m).value for m in (
+            Method.BARGMANN_SCHWINGER, Method.SECOND_ORDER, Method.THIRD_ORDER))
+
+    def lower_sequence_ok(self) -> bool:
+        """Whether the lower sequence is monotone to MONOTONE_TOL."""
+        first, second, third = self.lower_sequence
+        return (first <= second * (1 + MONOTONE_TOL)
+                and second <= third * (1 + MONOTONE_TOL))
+
+    def ggmt_ok(self) -> bool:
+        """Whether the optimized power family is at least the first moment."""
+        first = self.by_method(Method.BARGMANN_SCHWINGER).value
+        return self.by_method(Method.GGMT).value >= first * (1 - MONOTONE_TOL)
+
+    @property
+    def solver_gap(self) -> float:
+        """|shooting - Nystrom| / shooting."""
+        return abs(self.exact_shooting - self.exact_nystrom) / self.exact_shooting
+
+    def solvers_agree(self) -> bool:
+        return self.solver_gap <= SOLVER_AGREEMENT
 
     def by_method(self, method: Method) -> BoundResult:
         for b in self.lowers + self.uppers:

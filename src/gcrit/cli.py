@@ -311,17 +311,14 @@ def _cmd_check(args) -> int:
             report(rep.ordering_ok(),
                    f"{name}: max lower {rep.max_lower:.6g} <= exact "
                    f"{rep.exact_shooting:.6g} <= min upper {rep.min_upper:.6g}")
-            seq = [rep.by_method(Method.BARGMANN_SCHWINGER).value,
-                   rep.by_method(Method.SECOND_ORDER).value,
-                   rep.by_method(Method.THIRD_ORDER).value]
-            report(seq[0] <= seq[1] * (1 + 1e-9) and seq[1] <= seq[2] * (1 + 1e-9),
+            seq = rep.lower_sequence
+            report(rep.lower_sequence_ok(),
                    f"{name}: lower sequence monotone "
                    f"({seq[0]:.6g} <= {seq[1]:.6g} <= {seq[2]:.6g})")
-            report(rep.by_method(Method.GGMT).value >= seq[0] * (1 - 1e-9),
+            report(rep.ggmt_ok(),
                    f"{name}: optimized power family at least first moment")
-            agree = abs(rep.exact_shooting - rep.exact_nystrom) / rep.exact_shooting
-            report(agree <= 1e-5,
-                   f"{name}: solvers agree to {agree:.2e}")
+            report(rep.solvers_agree(),
+                   f"{name}: solvers agree to {rep.solver_gap:.2e}")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 

@@ -27,6 +27,9 @@ keeps its own heap, look-ahead, budget and errors.
 No integrand call takes more than `MAX_CALL_NODES` nodes unless one read
 run of a `CumulativeIntegral` is longer, so the memory of a pass, nested
 or lockstep, stays flat as the panels of a round multiply with the grid.
+At 2^13 nodes each array of a call (64 KiB) stays below glibc's default
+mmap threshold, so a search that calls its integrands trial after trial
+reuses heap memory instead of mapping fresh pages and faulting them in.
 Each panel's estimate and each run's sum is that of a call of its own, so
 the blocks change no value.
 
@@ -88,9 +91,12 @@ _WG[7] = _WG_CENTER
 _WG[9:15:2] = _WG_HALF[::-1]
 _XK_OUTER = float(_XK_HALF[0])
 
-#: the most nodes one integrand call takes (256 KB per float64 array); a
-#: larger round or read is evaluated in consecutive blocks
-MAX_CALL_NODES = 2 ** 15
+#: the most nodes one integrand call takes; a larger round or read is
+#: evaluated in consecutive blocks.  2^13 is the largest power of two whose
+#: float64 and int64 arrays (64 KiB each) stay below glibc's default mmap
+#: threshold of 128 KiB, so the temporaries of a call come from the heap
+#: instead of being mapped, trimmed and faulted back in trial after trial
+MAX_CALL_NODES = 2 ** 13
 
 
 @dataclass(frozen=True)

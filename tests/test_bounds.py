@@ -1,6 +1,10 @@
 import contextlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis import strategies as st
 
 from gcrit import bounds as bounds_module
 from gcrit import quadrature
-from gcrit.bounds import (G_SEARCH_RANGE, BoundResult, Method, Side,
+from gcrit.bounds import (G_SEARCH_RANGE, MONOTONE_TOL, SOLVER_AGREEMENT,
+                          BoundResult, Method, SandwichReport, Side,
                           _calogero_II_integrand,
                           _rel_cfg, lower_bargmann_schwinger, lower_ggmt,
                           lower_ggmt_at, lower_second_order, lower_third_order,
@@ -111,6 +116,25 @@ def test_matching_radius_II_square_well_analytic():
     assert math.isclose(best.optimal_param, 0.5, rel_tol=1e-3)
 
 
+def test_matching_radius_II_rejects_a_trial_strength_not_above_zero():
+    # in a subprocess with a timeout: a NaN trial once searched forever
+    code = ("import math\n"
+            "from gcrit import Potential, upper_calogero_II_at\n"
+            "from gcrit.errors import DomainError\n"
+            "for g in (math.nan, 0.0, -1.0):\n"
+            "    try:\n"
+            "        upper_calogero_II_at(Potential.exponential(), 0, 1.0, g)\n"
+            "    except DomainError as exc:\n"
+            "        print(exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "trial strength g_trial must be positive\n" * 3
+
+
 def test_matching_radius_II_printed():
     assert math.isclose(upper_calogero_II(YUK, 0).value, 1.6810, rel_tol=PRINTED_TOL)
     assert math.isclose(upper_calogero_II(EXP, 5).value, 91.708, rel_tol=PRINTED_TOL)
@@ -205,6 +229,41 @@ def test_sandwich_square_well():
     assert {b.method for b in rep.uppers} == {
         Method.CALOGERO_I, Method.CALOGERO_II, Method.VARIATIONAL}
     assert rep.by_method(Method.GGMT).optimal_param is not None
+
+
+def _report(bs=1.0, second=1.0, third=1.0, ggmt=1.0, shooting=1.5, nystrom=1.5):
+    """A hand-built report with these lower limits and solver values."""
+    lows = tuple(BoundResult(m, Side.LOWER, v, 0) for m, v in (
+        (Method.BARGMANN_SCHWINGER, bs), (Method.SECOND_ORDER, second),
+        (Method.THIRD_ORDER, third), (Method.GGMT, ggmt)))
+    ups = (BoundResult(Method.CALOGERO_I, Side.UPPER, 2.0, 0),)
+    return SandwichReport(SW, 0, lows, ups, shooting, nystrom, 0.0)
+
+
+def test_report_lower_sequence_is_monotone_to_its_tolerance():
+    assert MONOTONE_TOL == 1e-9
+    assert _report(1.0, 1.2, 1.3).lower_sequence == (1.0, 1.2, 1.3)
+    assert _report(1.0, 1.2, 1.3).lower_sequence_ok()
+    assert _report(1.0, 1.0 - 0.5e-9, 1.0 - 0.9e-9).lower_sequence_ok()
+    assert not _report(1.0, 1.0 - 2e-9, 1.3).lower_sequence_ok()
+    assert not _report(1.0, 1.2, 1.2 * (1 - 2e-9)).lower_sequence_ok()
+
+
+def test_report_ggmt_is_at_least_the_first_moment_to_its_tolerance():
+    assert _report(ggmt=1.2).ggmt_ok()
+    assert _report(ggmt=1.0 - 0.5e-9).ggmt_ok()
+    assert not _report(ggmt=1.0 - 2e-9).ggmt_ok()
+    # the second- and third-order limits play no part
+    assert _report(second=0.5, third=0.5, ggmt=1.0).ggmt_ok()
+
+
+def test_report_solvers_agree_to_their_tolerance():
+    assert SOLVER_AGREEMENT == 1e-5
+    rep = _report(shooting=2.0, nystrom=2.0 - 3e-5)
+    assert math.isclose(rep.solver_gap, 1.5e-5, rel_tol=1e-9)
+    assert not rep.solvers_agree()
+    assert _report(shooting=2.0, nystrom=2.0 + 1.9e-5).solvers_agree()
+    assert not _report(shooting=2.0, nystrom=2.0 + 2.1e-5).solvers_agree()
 
 
 def test_scale_invariance_smoke():

@@ -1,4 +1,5 @@
-"""The solvers judged by the exact shell threshold of `oracles`."""
+"""The solvers judged by the exact thresholds of `oracles`: the shell at
+every l, and the benchmark's tabulated sweep-pool grids at l = 0."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from gcrit.exact import critical_coupling_nystrom, critical_coupling_shooting
 from gcrit.potentials import Potential
-from oracles import shell_mismatch, shell_threshold
+from oracles import grid_mismatch, grid_threshold, shell_mismatch, shell_threshold
 
 WIDTHS = (0.1, 1e-3)
 
@@ -22,6 +23,20 @@ SHOOTING_ERROR = {
 #: ignores the shell's breakpoints, so it is +4.7e-3 to +5.7e-3 at width 0.1
 #: and -0.46 to -0.47 at width 1e-3; a grid that honours them tightens these.
 NYSTROM_400_GAP = {0.1: 5.7e-3, 1e-3: 0.468}
+
+#: shooting's relative error at l = 0 against the exact threshold of each
+#: sweep-pool grid (shapes 0-7), by knot count, as measured; always high.
+#: The tests allow 3x.
+GRID_SHOOTING_ERROR = {
+    16: (4.1e-11, 3.1e-11, 2.3e-11, 1.1e-10, 1.2e-11, 3.5e-11, 1.5e-11, 3.3e-11),
+    28: (1.4e-11, 1.8e-11, 1.9e-11, 4.9e-11, 1.3e-11, 1.8e-10, 9.1e-12, 1.8e-11),
+    64: (1.9e-11, 5.9e-12, 8.5e-12, 2.2e-11, 7.2e-12, 4.1e-12, 1.3e-11, 3.4e-12),
+}
+
+#: the range of Nystrom's relative error at n = 400 and l = 0 over the eight
+#: sweep-pool grids of a knot count, as measured: high on 16 and 28 knots,
+#: low on 64.  `gcrit check` asks the solvers to agree to 1e-5.
+GRID_NYSTROM_400_GAP = {16: (0.0, 2.3e-5), 28: (0.0, 4.1e-5), 64: (-2.8e-5, 0.0)}
 
 
 def _mpmath_shell_threshold(ell: int, width: float, guess: float):
@@ -79,3 +94,61 @@ def test_nystrom_400_shell_gap(width):
         got = critical_coupling_nystrom(Potential.shell(width), ell, n=400)
         assert math.isfinite(got)
         assert abs(got - want) <= NYSTROM_400_GAP[width] * want, ell
+
+
+def _mpmath_grid_threshold(grid, guess):
+    """The oracle's l = 0 transfer through the grid, at the working
+    precision of mpmath, solved for u' = 0 at the last knot."""
+    pts = [(mpmath.mpf(r), mpmath.mpf(v)) for r, v in grid]
+
+    def mismatch(g):
+        r0, v0 = pts[0]
+        k = mpmath.sqrt(g * v0)
+        u, du = mpmath.sin(k * r0) / k, mpmath.cos(k * r0)
+        for (ra, va), (rb, vb) in zip(pts[:-1], pts[1:]):
+            d, b = rb - ra, (vb - va) / (rb - ra)
+            if b == 0:
+                k = mpmath.sqrt(g * va)
+                c, s = mpmath.cos(k * d), mpmath.sin(k * d)
+                u, du = c * u + s / k * du, -k * s * u + c * du
+                continue
+            c = mpmath.cbrt(g * b) if b > 0 else -mpmath.cbrt(-g * b)
+            z0, z1 = -c * va / b, -c * (d + va / b)
+            w = -du / c
+            alpha = mpmath.pi * (mpmath.airybi(z0, 1) * u - mpmath.airybi(z0) * w)
+            beta = mpmath.pi * (mpmath.airyai(z0) * w - mpmath.airyai(z0, 1) * u)
+            u = alpha * mpmath.airyai(z1) + beta * mpmath.airybi(z1)
+            du = -c * (alpha * mpmath.airyai(z1, 1) + beta * mpmath.airybi(z1, 1))
+        return du
+
+    return mpmath.findroot(mismatch, mpmath.mpf(guess))
+
+
+@pytest.mark.parametrize("knots, shape", [(16, 3), (64, 3)])
+def test_grid_oracle_matches_mpmath(workloads, knots, shape):
+    # measured 1.7e-15 and 1.8e-16
+    grid = workloads.sweep_grid(knots, shape)
+    g = grid_threshold(grid)
+    assert grid_mismatch(grid, 0.999 * g) > 0.0 > grid_mismatch(grid, 1.001 * g)
+    with mpmath.workdps(40):
+        want = _mpmath_grid_threshold(grid, g)
+        assert abs(g - want) <= 5e-15 * want
+
+
+@pytest.mark.parametrize("knots", sorted(GRID_SHOOTING_ERROR))
+def test_shooting_matches_grid_threshold(workloads, knots):
+    for shape, err in enumerate(GRID_SHOOTING_ERROR[knots]):
+        grid = workloads.sweep_grid(knots, shape)
+        want = grid_threshold(grid)
+        got = critical_coupling_shooting(Potential.tabulated(grid), 0)
+        assert abs(got - want) <= 3.0 * err * want, shape
+
+
+@pytest.mark.parametrize("knots", sorted(GRID_NYSTROM_400_GAP))
+def test_nystrom_400_grid_gap(workloads, knots):
+    lo, hi = GRID_NYSTROM_400_GAP[knots]
+    for shape in range(8):
+        grid = workloads.sweep_grid(knots, shape)
+        want = grid_threshold(grid)
+        got = critical_coupling_nystrom(Potential.tabulated(grid), 0, n=400)
+        assert lo * want <= got - want <= hi * want, shape

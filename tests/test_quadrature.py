@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcrit import bounds, quadrature
+from gcrit import bounds, exact, quadrature
 from gcrit.errors import (AccuracyError, ConfigurationError, DomainError,
                           IntegrationError)
 from gcrit.potentials import Potential
@@ -460,8 +460,20 @@ def test_cumulative_read_calls_its_weight_once():
     x = np.linspace(0.0, 1.0, 15 * 7)
     for runs in (None, [15] * 7):
         calls.update(w2=0, w3=0)
-        middle(x, runs=runs)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quadrature, "MAX_CALL_NODES", UNCAPPED)
+            middle(x, runs=runs)
         assert calls == {"w2": 1, "w3": 1}
+    # capped, `middle` still reads its 104 live points (x = 0 reads nothing)
+    # in one call, and passes their nodes on to `inner` in runs of 15 * 14
+    # and 15 * 15, which `inner` reads in as many blocks as `_blocks` cuts
+    # them into; one run, however long, is a block of its own
+    for runs, inner_runs in ((None, [15 * 104]), ([15] * 7, [15 * 14] + [15 * 15] * 6)):
+        calls.update(w2=0, w3=0)
+        middle(x, runs=runs)
+        blocks = list(quadrature._blocks(inner_runs, CAP // 15))
+        assert calls == {"w2": 1, "w3": len(blocks)}
+    assert len(blocks) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +481,7 @@ def test_cumulative_read_calls_its_weight_once():
 # ---------------------------------------------------------------------------
 
 UNCAPPED = 2 ** 62   # every round and every read in one integrand call
-CAP = 2 ** 15        # the most nodes of an integrand call, as the README states
+CAP = 2 ** 13        # the most nodes of an integrand call, as the README states
 
 
 def evaluate_sizes(m):
@@ -589,7 +601,7 @@ def test_third_order_calls_stay_under_the_cap_on_1024_knots(sweep_grid):
 def test_third_order_memory_stays_flat_on_1024_knots(sweep_grid):
     # one call per round and read evaluates the innermost weight at all
     # 1024 * 15**3 nodes of the first round at once, a traced peak of about
-    # 95 MiB on this grid; capped calls peak at about 4.2 MiB
+    # 95 MiB on this grid; capped calls peak at about 1.4 MiB
     pot = sweep_grid(1024, 0)
     bounds.lower_third_order(pot, 1)
     tracemalloc.start()
@@ -599,6 +611,50 @@ def test_third_order_memory_stays_flat_on_1024_knots(sweep_grid):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 20
+
+
+def test_a_capped_call_stays_below_the_mmap_threshold():
+    # glibc maps an allocation of 128 KiB or more (its default threshold)
+    # and returns it on free; a capped call's float64 values and int64
+    # member indices stay on the heap, and twice the cap would not
+    threshold = 128 * 1024
+    assert quadrature.MAX_CALL_NODES == CAP
+    for dtype in (np.float64, np.int64):
+        size = CAP * np.dtype(dtype).itemsize
+        assert size < threshold <= 2 * size
+
+
+def test_golden_sandwich_makes_no_integrand_call_above_the_cap(workloads):
+    # every Potential.evaluate call of the item's sandwich but those of the
+    # shooting solve's step polynomial, one evaluation of the grid on all
+    # its steps per solve, which no quadrature call makes
+    item = workloads.sweep_item(64, 1, 2)
+    outs, largest = [], []
+    for cap in (quadrature.MAX_CALL_NODES, UNCAPPED):
+        sizes, building = [0], []
+        evaluate, build = Potential.evaluate, exact._build_step_polynomial
+
+        def spy(self, r):
+            if not building:
+                sizes.append(np.size(r))
+            return evaluate(self, r)
+
+        def built(*args):
+            building.append(True)
+            try:
+                return build(*args)
+            finally:
+                building.pop()
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quadrature, "MAX_CALL_NODES", cap)
+            m.setattr(Potential, "evaluate", spy)
+            m.setattr(exact, "_build_step_polynomial", built)
+            outs.append(item.call())
+        largest.append(max(sizes))
+    capped, uncapped = largest
+    assert capped <= CAP < uncapped
+    assert outs[0] == outs[1]
 
 
 
