@@ -308,7 +308,8 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
 
     The strength enters the condition nonlinearly but the left side grows
     monotonically with g, so the smallest g with LHS = 1 is found by
-    expanding a bracket around g_trial and bisecting it.
+    expanding a bracket around g_trial, which must be positive and is
+    clamped into G_SEARCH_RANGE, and bisecting it.
 
     The search runs on a frozen rule: the nodes and weights of the adaptive
     pass at g_trial, with v and (r/a)^(2l) cached there, so every further

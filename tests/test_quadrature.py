@@ -568,9 +568,10 @@ def test_capped_cumulative_read_keeps_its_runs_whole():
         return np.exp(-z) * z
 
     inner = quadrature.CumulativeIntegral(weight, 0.0, 4.0, CFG)
-    x = np.random.default_rng(5).uniform(0.0, 4.0, 4 * 2184)
-    for runs in ([15] * (x.size // 15) + [x.size % 15], [2184] * 2 + [4368],
-                 [2185, 2183] * 2):
+    reads = CAP // 15   # the most reads of one capped call
+    x = np.random.default_rng(5).uniform(0.0, 4.0, 4 * reads)
+    for runs in ([15] * (x.size // 15) + [x.size % 15], [reads] * 2 + [2 * reads],
+                 [reads + 1, reads - 1] * 2):
         got = []
         for cap in (quadrature.MAX_CALL_NODES, UNCAPPED):
             sizes.clear()
@@ -629,10 +630,10 @@ def test_golden_sandwich_makes_no_integrand_call_above_the_cap(workloads):
     # shooting solve's step polynomial, one evaluation of the grid on all
     # its steps per solve, which no quadrature call makes
     item = workloads.sweep_item(64, 1, 2)
+    evaluate, build = Potential.evaluate, exact._build_step_polynomial
     outs, largest = [], []
     for cap in (quadrature.MAX_CALL_NODES, UNCAPPED):
         sizes, building = [0], []
-        evaluate, build = Potential.evaluate, exact._build_step_polynomial
 
         def spy(self, r):
             if not building:
