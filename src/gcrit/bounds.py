@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (AccuracyError, DegeneratePotentialError, DomainError,
                      IntegrationError, InvariantViolation, SearchRangeError)
 from .exact import critical_coupling_nystrom, critical_coupling_shooting
-from .optimize import bisect, bracket, drive, minimize_scalar_log
+from .optimize import bisect, bracket, minimize_scalar_log
 from .potentials import AngularMomentum, Kind, Potential
 from .quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig, integrate,
                          integrate_semi_infinite, lockstep, nested_double,
@@ -288,13 +288,13 @@ def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
     hi) with excess(lo) < 0 <= excess(hi): a bracket widened by factors of 4
     from g_start in G_SEARCH_RANGE, then bisected to 1e-12 relative."""
     g_lo, g_hi = G_SEARCH_RANGE
-    lo, hi = drive(excess, bracket(g_start, 4.0, 4.0, g_lo, g_hi))
+    lo, hi = bracket(excess, g_start, 4.0, 4.0, g_lo, g_hi)
     if lo is None:
         raise SearchRangeError(f"sufficient condition already holds at g = {g_lo:g}")
     if hi is None:
         raise SearchRangeError(f"sufficient condition never reached 1 below g = {g_hi:g}")
     # plain bisection: the left side is monotone in g, so this cannot fail
-    return drive(excess, bisect(lo, hi, 1e-12))
+    return bisect(excess, lo, hi, 1e-12)
 
 
 class _RuleRejected(Exception):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      NoBoundStateError)
-from .optimize import bracket, brentq, drive
+from .optimize import bracket, brentq
 from .potentials import AngularMomentum, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -315,8 +315,8 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     token = _solve_grids.set({})
     try:
         for _ in range(_SCAN_REFINEMENTS + 1):
-            a, b = drive(lambda g: -coeff(g),
-                         bracket(g_start, 2.0, factor, 0.5e-6 * g_start, cap * factor))
+            a, b = bracket(lambda g: -coeff(g), g_start, 2.0, factor,
+                           0.5e-6 * g_start, cap * factor)
             if a is None:
                 raise NoBoundStateError("no subcritical strength found below the scan start")
             if b is None:

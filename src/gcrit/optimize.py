@@ -10,12 +10,12 @@ bound, `bounds._optimize_bound` sets the range and the trial accuracy and
 turns rejected trials into inf.
 
 `bracket` and `bisect` find the first point where an f turns nonnegative (a
-Calogero II threshold, the first shooting threshold, a tail radius) as
-generators that yield their trial points and are sent f there; `drive`
-feeds them from one function.  `brentq` polishes a sign change to a root
-(the shooting threshold, the stis closed form): scipy's Brent iteration
-rewritten in Python with the same float operations in the same order, so it
-returns scipy's root bit for bit and the package imports no scipy.
+Calogero II threshold, the first shooting threshold, a tail radius): a
+geometric walk that never steps past an end of its range, then halving.
+`brentq` polishes a sign change to a root (the shooting threshold, the stis
+closed form): scipy's Brent iteration rewritten in Python with the same
+float operations in the same order, so it returns scipy's root bit for bit
+and the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -108,40 +108,33 @@ def minimize_scalar_log(f, lo: float, hi: float, *,
     return ScalarMinResult(math.exp(s_best), nev, edge_hit)
 
 
-def drive(f, steps):
-    """Send the generator `steps` f(x) for each x it yields; return its value."""
-    x = next(steps)
-    while True:
-        try:
-            x = steps.send(f(x))
-        except StopIteration as done:
-            return done.value
-
-
-def bracket(x: float, shrink: float, grow: float, lo_end: float, hi_end: float):
+def bracket(f, x: float, shrink: float, grow: float, lo_end: float, hi_end: float):
     """Steps down from x by the factor `shrink` while f >= 0, then up by
-    `grow` while f < 0; returns (lo, hi) with f(lo) < 0 <= f(hi) and
-    hi = lo * grow.  A step that would leave [lo_end, hi_end] is not tried:
-    the walk returns (None, last hi) at the low end, (lo, None) at the high."""
-    hi = None
-    while (yield x) >= 0:
-        hi, x = x, x / shrink
-        if x < lo_end:
-            return None, hi
-    while True:
-        lo, x = x, x * grow
-        if x > hi_end:
-            return lo, None
-        if x == hi or (yield x) >= 0:   # f(hi) >= 0 from the walk down
+    `grow` while f < 0; returns (lo, hi) with f(lo) < 0 <= f(hi), (None,
+    last hi) if f >= 0 at lo_end, or (last lo, None) if f < 0 at or past
+    hi_end.  A step lands on lo_end, or on the lesser of hi_end and the
+    walk down's last point, rather than pass it: after x no point outside
+    [lo_end, hi_end] is tried, and no point twice."""
+    top = None   # the last point of the walk down, where f >= 0
+    while f(x) >= 0:
+        top = x
+        if x <= lo_end:
+            return None, x
+        x = max(x / shrink, lo_end)
+    cap = hi_end if top is None else min(top, hi_end)
+    while x < cap:
+        lo, x = x, min(x * grow, cap)
+        if x == top or f(x) >= 0:
             return lo, x
+    return x, None
 
 
-def bisect(lo: float, hi: float, rel_tol: float):
+def bisect(f, lo: float, hi: float, rel_tol: float):
     """Halves a bracket f(lo) < 0 <= f(hi) until hi - lo <= rel_tol * hi,
     at most 200 times; returns the final (lo, hi)."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (yield mid) >= 0:
+        if f(mid) >= 0:
             hi = mid
         else:
             lo = mid

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TruncationError
-from .optimize import bisect, bracket, drive
+from .optimize import bisect, bracket
 from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite
 
 
@@ -270,9 +270,6 @@ class Potential:
         r*v(r) = tail_tol is bracketed by geometric scan and bisected; a
         crossing beyond max_radius raises TruncationError.
         """
-        return self._tail_radius(tail_tol, max_radius)
-
-    def _tail_radius(self, tail_tol: float, max_radius: float) -> float:
         if not tail_tol > 0:
             raise DomainError("tail_tol must be positive")
         if self.is_compact:
@@ -281,18 +278,15 @@ class Potential:
         def below(r):   # nonnegative where r*v is at most tail_tol
             return tail_tol - r * self.evaluate(r)
 
-        # walk inward from R while r*v <= tail_tol, else double outward up
-        # to the cap, where a doubling past it is clamped to the cap itself
-        lo, hi = drive(below, bracket(self.R, 2.0, 2.0, 0.5e-12 * self.R, max_radius))
+        # walk inward from R while r*v <= tail_tol, else double out to the cap
+        lo, hi = bracket(below, self.R, 2.0, 2.0, 0.5e-12 * self.R, max_radius)
         if lo is None:   # r*v stays below tail_tol down to the floor
             return min(self.R, max_radius)
-        if hi is None and lo < max_radius and below(max_radius) >= 0:
-            hi = max_radius
         if hi is None:
             raise TruncationError(
                 f"tail of r*v never drops below {tail_tol} within r <= {max_radius}")
         # an outward bracket is bisected from R, not from the last doubling
-        return drive(below, bisect(min(lo, self.R), hi, 1e-12))[1]
+        return bisect(below, min(lo, self.R), hi, 1e-12)[1]
 
     def validate_regularity(self, eps: float) -> RegularityReport:
         """Sample r^(2-eps) v near 0 and r^(2+eps) v at large r.

@@ -23,6 +23,7 @@ from gcrit.bounds import (G_SEARCH_RANGE, MONOTONE_TOL, SOLVER_AGREEMENT,
                           upper_calogero_II, upper_calogero_II_at,
                           upper_variational, upper_variational_at,
                           upper_variational_square_well)
+from gcrit.cli import main
 from gcrit.errors import (AccuracyError, DomainError, IntegrationError,
                           InvariantViolation, SearchRangeError)
 from gcrit.potentials import Potential
@@ -133,6 +134,26 @@ def test_matching_radius_II_rejects_a_trial_strength_not_above_zero():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "trial strength g_trial must be positive\n" * 3
+
+
+@pytest.mark.parametrize("w", [0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_matching_radius_II_shell_closed_form(w):
+    # on the shell of width w at l = 0 the threshold at fixed a is
+    # g(a) = 1/(a(1 - a/w)), least at a = w/2 with g = 4/w; at w = 1e-5 the
+    # search's last step up lands on G_SEARCH_RANGE's top, 1e6
+    best = upper_calogero_II(Potential.shell(w), 0)
+    assert math.isclose(best.value, 4.0 / w, rel_tol=1e-10)
+    assert math.isclose(best.optimal_param, w / 2, rel_tol=1e-5)
+
+
+@pytest.mark.parametrize("w", ["1e-7", "1e-9"])
+def test_matching_radius_II_shell_past_the_search_range_exits_3(capsys, w):
+    # 4/w lies above G_SEARCH_RANGE, so every trial of the search is rejected
+    assert main(["compute", "--potential", "shell", "--shell-width", w,
+                 "--methods", "calogero_ii"]) == 3
+    captured = capsys.readouterr()
+    assert "never reached 1 below g = 1e+06" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_matching_radius_II_printed():
@@ -313,21 +334,22 @@ def reference_bracket(pot, ell, a, g_trial, cfg=DEFAULT_CONFIG, visited=None):
     g_lo, g_hi = G_SEARCH_RANGE
     lo = hi = min(max(g_trial, g_lo), g_hi)
     f = excess(lo)
+    # a step lands on an end of G_SEARCH_RANGE rather than passing it
     if f < 0:
         while f < 0:
-            lo = hi
-            hi *= 4.0
-            if hi > g_hi:
+            if hi >= g_hi:
                 raise SearchRangeError(
                     f"sufficient condition never reached 1 below g = {g_hi:g}")
+            lo = hi
+            hi = min(4.0 * hi, g_hi)
             f = excess(hi)
     else:
         while excess(lo) >= 0:
-            hi = lo
-            lo /= 4.0
-            if lo < g_lo:
+            if lo <= g_lo:
                 raise SearchRangeError(
                     f"sufficient condition already holds at g = {g_lo:g}")
+            hi = lo
+            lo = max(lo / 4.0, g_lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if excess(mid) >= 0:

@@ -516,27 +516,31 @@ def reference_shooting(pot, ell, g_start, cfg=DEFAULT_CONFIG, log_step=DEFAULT_L
     def coeff(g):
         return exact.shoot_zero_energy(pot, ell, g, cfg, log_step)
 
-    a = g_start
+    # the halving walk lands on its floor rather than passing it
+    a, top, floor = g_start, math.inf, 0.5e-6 * g_start
     fa = coeff(a)
-    while fa <= 0 and a > g_start * 1e-6:
-        a *= 0.5
+    while fa <= 0:
+        if a <= floor:
+            raise NoBoundStateError("no subcritical strength found below the scan start")
+        top, a = a, max(0.5 * a, floor)
         fa = coeff(a)
-    if fa <= 0:
-        raise NoBoundStateError("no subcritical strength found below the scan start")
     cap = g_start * 1e4
     a0, fa0 = a, fa
     factor = 1.25
     for _ in range(exact._SCAN_REFINEMENTS + 1):
         a, fa = a0, fa0
+        # the upward scan lands on the last strength of the halving walk or
+        # on cap * factor rather than passing it
+        end = min(top, cap * factor)
         while True:
-            b = a * factor
-            fb = coeff(b)
-            if fa > 0 and fb <= 0:
-                break
-            a, fa = b, fb
-            if a > cap:
+            if a >= end:
                 raise NoBoundStateError(
                     f"growing-mode coefficient did not change sign below g = {cap:g}")
+            b = min(a * factor, end)
+            fb = coeff(b)
+            if fb <= 0:
+                break
+            a, fa = b, fb
         if _integrate_log_radial(pot, ell, b, cfg, log_step,
                                  count_nodes=True)[3] <= 1:
             scanned = {a: fa, b: fb}
@@ -680,19 +684,19 @@ def test_shooting_integrates_each_strength_once(monkeypatch, name):
                                   lambda: Potential.shell(0.1)])
 def test_shooting_computes_the_support_radius_once(monkeypatch, make):
     computed = []
-    tail_radius = Potential._tail_radius
+    support_radius = Potential.support_radius
 
-    def counted(self, tail_tol, max_radius):
+    def counted(self, tail_tol, max_radius=1e4):
         computed.append(tail_tol)
-        return tail_radius(self, tail_tol, max_radius)
+        return support_radius(self, tail_tol, max_radius)
 
-    monkeypatch.setattr(Potential, "_tail_radius", counted)
+    monkeypatch.setattr(Potential, "support_radius", counted)
     got = critical_coupling_shooting(make(), 3)
     assert len(computed) == 1
     # the radius computed afresh on every integration, as it was before
     monkeypatch.setattr(Potential, "support_radius",
                         lambda self, tail_tol, max_radius=1e4:
-                        tail_radius(self, tail_tol, max_radius))
+                        support_radius(self, tail_tol, max_radius))
     assert critical_coupling_shooting(make(), 3) == got
 
 

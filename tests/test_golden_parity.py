@@ -1,7 +1,7 @@
 """Tier-1 guard on the benchmark's golden baseline.
 
 `perfbench/golden.json` records every output of the benchmark items at the
-commit that defined it.  Recomputing three table rows, two sandwiches on
+commit that defined it.  Recomputing four table rows, three sandwiches on
 tabulated grids, the shooting solves of two shapes and all 60 Nystrom solves
 here makes a numerical drift beyond 1e-12 relative fail the test suite, not
 only the benchmark.  The file is only read.
@@ -33,6 +33,7 @@ def golden():
     (1, 0),  # square well, l = 0
     (2, 3),  # exponential, l = 3 (the erratum row)
     (3, 0),  # Yukawa, l = 0
+    (1, 5),  # square well, l = 5: its Calogero II sits 2.1e-13 from golden
 ])
 def test_table_row_matches_golden(golden, table_id, label):
     want = golden[f"tables/{table_id}/{label}"]["out"]
@@ -58,6 +59,9 @@ def _close(got: dict, want: dict):
     # a 4,042-span lockstep round and a 216,000-node third-order read, each
     # evaluated in blocks of quadrature.MAX_CALL_NODES nodes
     (64, 1, 2),
+    # its Calogero II sits 3.3e-13 from golden, where a threshold search
+    # reaches the top of G_SEARCH_RANGE
+    (28, 2, 2),
 ])
 def test_sweep_item_matches_golden(golden, workloads, knots, shape, ell):
     # a tabulated grid, which the numerics take in its own units; the item

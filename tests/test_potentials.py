@@ -128,18 +128,21 @@ def test_support_radius_respects_radius_cap():
 def reference_tail_radius(pot, tail_tol, max_radius):
     """The tail radius search as it was written out by hand before the shared
     bracket-and-bisect search, kept as the reference that search must match;
-    its outward doubling is clamped to max_radius, and it never returns more."""
+    its inward halving lands on the floor 0.5e-12 R rather than passing it,
+    its outward doubling lands on max_radius or on the last radius of the
+    inward walk, and it never returns more than max_radius."""
     def excess(r):
         return r * pot.evaluate(r) - tail_tol
 
-    lo = pot.R
+    lo, top = pot.R, math.inf
     if excess(lo) <= 0:
         # already below at the scale radius: walk inward for a bracket
-        while lo > 1e-12 * pot.R and excess(lo) <= 0:
-            lo *= 0.5
-        if excess(lo) <= 0:
-            return pot.R
-    hi = min(2.0 * lo, max_radius)
+        floor = 0.5e-12 * pot.R
+        while excess(lo) <= 0:
+            if lo <= floor:
+                return pot.R
+            top, lo = lo, max(0.5 * lo, floor)
+    hi = min(2.0 * lo, top, max_radius)
     while hi <= lo or excess(hi) > 0:
         if hi >= max_radius:
             raise TruncationError(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from gcrit.bounds import METHODS, Method
+from gcrit.bounds import METHODS, Method, upper_calogero_II
 from gcrit.cli import main
 from gcrit.potentials import Kind, Potential
 
@@ -123,3 +123,19 @@ def test_shape_matches_the_per_kind_formulas_at_any_R(name, R):
     assert np.array_equal(got == 0.0, want == 0.0)
     live = want > 0
     assert np.max(np.abs(got[live] / want[live] - 1.0)) <= 1e-15
+
+
+#: the 3-knot grid (0.5, 1), (1, 1), (2, 0)
+THREE_KNOTS = [(0.5, 1.0), (1.0, 1.0), (2.0, 0.0)]
+
+
+@pytest.mark.parametrize("length, strength", [(1.0, 2e-6), (1.0, 1e6), (1e8, 1e-16)])
+def test_calogero_II_on_the_3_knot_grid_in_other_units(length, strength):
+    # radii times `length` and values times `strength` divide the threshold
+    # by strength * length^2.  At strengths 1e6 and 2e-6 it lies near an end
+    # of G_SEARCH_RANGE; in units 1e8 the first matching radii tried need a
+    # strength near the top end, 1e6
+    want = upper_calogero_II(Potential.tabulated(THREE_KNOTS), 0).value
+    pot = Potential.tabulated([(length * r, strength * v) for r, v in THREE_KNOTS])
+    got = upper_calogero_II(pot, 0).value
+    assert math.isclose(got * strength * length ** 2, want, rel_tol=1e-11)

@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcrit import bounds
 from gcrit.bounds import (METHODS, BoundResult, Method, SandwichReport, Side,
@@ -700,3 +704,28 @@ def test_cli_compute_out_writes_what_stdout_prints(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf-8") == printed
     assert printed.startswith("| ell |")
+
+
+# -- the error contract of `compute`, by property ------------------------------
+
+_NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+@given(kind=st.sampled_from(["square_well", "exponential", "yukawa", "stis", "shell"]),
+       log_R=st.floats(-2.0, 2.0), ell=st.integers(0, 6),
+       log_alpha=st.floats(-1.3, 1.7), log_width=st.floats(-5.0, -0.3),
+       method=st.sampled_from(METHOD_NAMES))
+def test_cli_compute_ends_in_an_exit_code_and_prints_only_finite_numbers(
+        kind, log_R, ell, log_alpha, log_width, method):
+    argv = ["compute", "--potential", kind, "--R", repr(10.0 ** log_R),
+            "--ell", str(ell), "--methods", method]
+    if kind == "stis":
+        argv += ["--alpha", repr(10.0 ** log_alpha)]
+    if kind == "shell":
+        argv += ["--shell-width", repr(10.0 ** log_width)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)   # anything raised here fails the test
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+    assert "Traceback" not in err.getvalue()
