@@ -32,8 +32,9 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 #: default step of the log-radius RK4 grid; 0.004 keeps the threshold within
 #: 6e-10 relative of the closed forms for l <= 5 (1e-12 to 1.5e-11 at l = 0)
-#: and within 2.1e-8 of the exact shell(0.1) threshold; 0.3-0.5 ms per trial
-#: strength, 3.5-30 ms per solve (built-in shapes, l <= 5, one core of a 2-CPU box)
+#: and within 2.1e-8 of the exact shell(0.1) threshold; 0.2-0.4 ms per trial
+#: strength, 2.3-24 ms per solve, and a traced peak of 24-26 floats per step
+#: (built-in shapes, l <= 5, one core of a 2-CPU box)
 DEFAULT_LOG_STEP = 0.004
 
 _TAIL_TOL = 1e-12
@@ -53,7 +54,9 @@ def greens_function(ell: int, r, rp):
     rp = np.asarray(rp, dtype=float)
     lo = np.minimum(r, rp)
     hi = np.maximum(r, rp)
-    out = lo ** (ell + 1) * hi ** (-ell) / (2 * ell + 1)
+    # lo/hi <= 1 keeps the power bounded where lo^(l+1) would underflow
+    # and hi^(-l) overflow
+    out = lo * (lo / hi) ** ell / (2 * ell + 1)
     if out.ndim == 0:
         return float(out)
     return out
@@ -175,24 +178,34 @@ def _build_step_polynomial(pot: Potential, max_radius: float, log_step: float,
         h_steps.append(np.full(n, h))
     r = np.concatenate(r_steps, axis=1)
     h = np.concatenate(h_steps)
+    del r_steps, h_steps
     # r^2 v = inf leaves kappa = inf and NaN coefficients, which the shot
     # reports as a non-finite state
     with np.errstate(over="ignore", invalid="ignore"):
-        r2v = r ** 2 * pot.evaluate(r)
+        r2v = r ** 2
+        r2v *= pot.evaluate(r)
+        del r
         kappa = float(r2v.max()) or 1.0
-        c0, ch, c1 = r2v / kappa
+        r2v /= kappa
+        c0, ch, c1 = r2v
         P = AngularMomentum(ell).L ** 2
         e, s, t = 0.25 * h * h, h * h / 6.0, h / 6.0
-        one = 1.0 + s * (3.0 * P + e * P * P)
-        coeffs = np.array([
-            [[one, h + h * s * P],
-             [t * (6.0 * P + 4.0 * e * P * P), one]],
-            [[-s * (c0 + 2.0 * ch + e * P * (c0 + ch)), -h * s * ch],
-             [-t * (c0 + 4.0 * ch + c1 + 2.0 * e * P * (c0 + 2.0 * ch + c1)),
-              -s * (2.0 * ch + c1 + e * P * (ch + c1))]],
-            [[s * e * c0 * ch, np.zeros_like(h)],
-             [t * 2.0 * e * ch * (c0 + c1), s * e * ch * c1]],
-        ])
+        # one row at a time, so no more than a row's temporaries coexist
+        # with the 12 rows
+        coeffs = np.empty((3, 2, 2, h.size))
+        coeffs[0, 0, 0] = 1.0 + s * (3.0 * P + e * P * P)
+        coeffs[0, 0, 1] = h + h * s * P
+        coeffs[0, 1, 0] = t * (6.0 * P + 4.0 * e * P * P)
+        coeffs[0, 1, 1] = coeffs[0, 0, 0]
+        coeffs[1, 0, 0] = -s * (c0 + 2.0 * ch + e * P * (c0 + ch))
+        coeffs[1, 0, 1] = -h * s * ch
+        coeffs[1, 1, 0] = -t * (c0 + 4.0 * ch + c1
+                                + 2.0 * e * P * (c0 + 2.0 * ch + c1))
+        coeffs[1, 1, 1] = -s * (2.0 * ch + c1 + e * P * (ch + c1))
+        coeffs[2, 0, 0] = s * e * c0 * ch
+        coeffs[2, 0, 1] = 0.0
+        coeffs[2, 1, 0] = t * 2.0 * e * ch * (c0 + c1)
+        coeffs[2, 1, 1] = s * e * ch * c1
     return _StepPolynomial(coeffs=coeffs, kappa=kappa, s_end=s_pts[-1])
 
 
@@ -213,32 +226,49 @@ def _step_polynomial(pot: Potential, max_radius: float, log_step: float,
     return polys[key]
 
 
-def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """The 2x2 products later @ earlier along the last axis, each divided by
-    its largest entry: only the direction of the end state matters, and the
-    scaled products cannot overflow however fast the solution grows."""
-    p = np.einsum("ikn,kjn->ijn", later, earlier)
-    p /= np.abs(p).reshape(4, -1).max(axis=0)
-    return p
+def _compose(later: np.ndarray, earlier: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray) -> None:
+    """Write the 2x2 products later @ earlier along the last axis into out,
+    each divided by its largest entry: only the direction of the end state
+    matters, and the scaled products cannot overflow however fast the
+    solution grows.  scratch, of out's shape, takes their absolute values;
+    it may overlap later and earlier, which are read first."""
+    np.einsum("ikn,kjn->ijn", later, earlier, out=out)
+    out /= np.abs(out, out=scratch).max(axis=(0, 1))
 
 
 def _product(m: np.ndarray) -> np.ndarray:
     """M_(n-1) ... M_0 of the n matrices m[:, :, k], up to a positive
-    factor, by pairwise products in ceil(log2 n) rounds."""
-    while m.shape[2] > 1:
-        pairs = m.shape[2] // 2
-        p = _compose(m[..., 1:2 * pairs:2], m[..., 0:2 * pairs:2])
-        m = np.concatenate([p, m[..., 2 * pairs:]], axis=2)
+    factor, by pairwise products in ceil(log2 n) rounds.  The rounds write
+    into m and one buffer of half its size by turns, so m is overwritten;
+    the buffers are flat, so that a round's products fill one contiguous
+    block (at 1,700 products, the einsum, absolute values and division of
+    a round take 30 us there against 42 us in a strided one)."""
+    n = m.shape[2]
+    here, there = m.reshape(-1), np.empty(4 * ((n + 1) // 2))
+    while n > 1:
+        pairs, odd = divmod(n, 2)
+        out = there[:4 * (pairs + odd)].reshape(2, 2, pairs + odd)
+        if odd:
+            out[..., pairs] = m[..., n - 1]
+        _compose(m[..., 1:2 * pairs:2], m[..., 0:2 * pairs:2], out[..., :pairs],
+                 here[:4 * pairs].reshape(2, 2, pairs))
+        m, n, here, there = out, pairs + odd, there, here
     return m
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
     """M_k ... M_0 for every k, up to positive factors, by doubling (a
     Hillis-Steele scan of the linear recurrence): after the round with
-    stride d, matrix k is the product of the up to 2d steps ending at k."""
+    stride d, matrix k is the product of the up to 2d steps ending at k.
+    The rounds write into m and one buffer of its size by turns, so m is
+    overwritten."""
+    spare = np.empty_like(m)
     d = 1
     while d < m.shape[2]:
-        m = np.concatenate([m[..., :d], _compose(m[..., d:], m[..., :-d])], axis=2)
+        spare[..., :d] = m[..., :d]
+        _compose(m[..., d:], m[..., :-d], spare[..., d:], m[..., d:])
+        m, spare = spare, m
         d *= 2
     return m
 
@@ -254,9 +284,11 @@ def _integrate_log_radial(pot: Potential, ell: int, g: float,
     The equation is linear, so each RK4 step is a 2x2 matrix, quadratic in
     g, and the end state is their product applied to the start (1, L).  The
     matrices' coefficients are built once per solve (per shot outside one);
-    a shot evaluates all steps at once and multiplies them pairwise: 0.3-0.5
-    ms per shot for the 3,450-5,540 steps of a built-in shape, and 0.85-1.6
+    a shot evaluates all steps at once and multiplies them pairwise: 0.2-0.4
+    ms per shot for the 3,450-5,540 steps of a built-in shape, and 0.5-1.3
     ms with the node count's prefix products (one core of a 2-CPU box).
+    Beyond the 12 coefficients per step, either takes at most 14 floats per
+    step, the step maps and the product rounds' second buffer among them.
     """
     if not g > 0:
         raise DomainError("strength g must be positive")

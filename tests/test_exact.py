@@ -33,6 +33,13 @@ def test_greens_function_values():
     assert math.isclose(greens_function(1, 2.0, 1.0), 1.0 / 6.0, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("ell, r, want", [(60, 1e-6, 1e-6 / 121),
+                                           (5, 1e-70, 1e-70 / 11)])
+def test_greens_function_is_finite_where_its_powers_are_not(ell, r, want):
+    # r^(l+1) underflows and r^(-l) overflows, but their product is r
+    assert greens_function(ell, r, r) == want
+
+
 @given(st.floats(0.05, 30.0), st.floats(0.05, 30.0), st.integers(0, 5))
 def test_greens_function_symmetry(a, b, ell):
     assert greens_function(ell, a, b) == greens_function(ell, b, a)
@@ -210,6 +217,22 @@ def test_nystrom_memory_is_linear_in_node_count():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
+
+
+def test_shooting_memory_is_under_28_floats_per_step():
+    # 12 coefficients per step, and for a shot two product buffers; the
+    # coefficients once took 12 stacked temporaries (40 floats per step)
+    pot, ell = Potential.yukawa(), 4
+    steps = exact._build_step_polynomial(pot.unit, DEFAULT_CONFIG.max_radius,
+                                         DEFAULT_LOG_STEP, ell).coeffs.shape[-1]
+    critical_coupling_shooting(pot, ell)
+    tracemalloc.start()
+    try:
+        critical_coupling_shooting(pot, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 8 * steps
 
 
 # -- freeze-then-verify: the float RK4 loop and the kernel operator ---------
@@ -407,6 +430,54 @@ def reference_log_grid(pot, cfg=DEFAULT_CONFIG, log_step=DEFAULT_LOG_STEP):
     return np.concatenate(radii, axis=1), np.concatenate(steps)
 
 
+def reference_step_coefficients(pot, ell, cfg=DEFAULT_CONFIG,
+                                log_step=DEFAULT_LOG_STEP):
+    """The step polynomial's coefficients and kappa, stacked from 12
+    temporaries as first written."""
+    r, h = reference_log_grid(pot, cfg, log_step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2v = r ** 2 * pot.evaluate(r)
+        kappa = float(r2v.max()) or 1.0
+        c0, ch, c1 = r2v / kappa
+        P = AngularMomentum(ell).L ** 2
+        e, s, t = 0.25 * h * h, h * h / 6.0, h / 6.0
+        one = 1.0 + s * (3.0 * P + e * P * P)
+        coeffs = np.array([
+            [[one, h + h * s * P],
+             [t * (6.0 * P + 4.0 * e * P * P), one]],
+            [[-s * (c0 + 2.0 * ch + e * P * (c0 + ch)), -h * s * ch],
+             [-t * (c0 + 4.0 * ch + c1 + 2.0 * e * P * (c0 + 2.0 * ch + c1)),
+              -s * (2.0 * ch + c1 + e * P * (ch + c1))]],
+            [[s * e * c0 * ch, np.zeros_like(h)],
+             [t * 2.0 * e * ch * (c0 + c1), s * e * ch * c1]],
+        ])
+    return coeffs, kappa
+
+
+def reference_compose(later, earlier):
+    """The scaled 2x2 products, each round in a fresh array, as first written."""
+    p = np.einsum("ikn,kjn->ijn", later, earlier)
+    p /= np.abs(p).reshape(4, -1).max(axis=0)
+    return p
+
+
+def reference_product(m):
+    while m.shape[2] > 1:
+        pairs = m.shape[2] // 2
+        p = reference_compose(m[..., 1:2 * pairs:2], m[..., 0:2 * pairs:2])
+        m = np.concatenate([p, m[..., 2 * pairs:]], axis=2)
+    return m
+
+
+def reference_prefix_products(m):
+    d = 1
+    while d < m.shape[2]:
+        m = np.concatenate([m[..., :d], reference_compose(m[..., d:], m[..., :-d])],
+                           axis=2)
+        d *= 2
+    return m
+
+
 #: every shape, and the 28-knot grid scaled to the ends of the float range,
 #: where the square of r^2 v overflows or underflows unless it is scaled
 STEP_CASES = [(name, 1.0) for name in sorted(SHAPES)] + [
@@ -435,6 +506,42 @@ def test_step_polynomial_matches_stage_formulas(name, scale, ell):
         with np.errstate(over="ignore", invalid="ignore"):
             got = poly.matrices(g)
         assert np.all(np.abs(got - want) <= bound * np.abs(want).max(axis=(0, 1))), g
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+# the coefficients filled row by row and the products written into two
+# reused buffers, against the stacked rows and the fresh array per round
+@pytest.mark.parametrize("ell", FROZEN_ELLS)
+@pytest.mark.parametrize("name, scale", STEP_CASES)
+def test_in_place_shot_matches_fresh_arrays_bit_for_bit(name, scale, ell):
+    pot = _tabulated_28(scale) if scale != 1.0 else SHAPES[name]
+    L = AngularMomentum(ell).L
+    coeffs, kappa = reference_step_coefficients(pot, ell)
+    s_end = math.log(_segment_radii(pot, DEFAULT_CONFIG.max_radius)[-1])
+    poly = exact._build_step_polynomial(pot, DEFAULT_CONFIG.max_radius,
+                                        DEFAULT_LOG_STEP, ell)
+    assert poly.coeffs.tobytes() == coeffs.tobytes()
+    assert (poly.kappa, poly.s_end) == (kappa, s_end)
+    reference = exact._StepPolynomial(coeffs, kappa, s_end)
+    g_c = critical_coupling_shooting(SHAPES[name], ell) / scale
+    for g in (f * g_c for f in PRODUCT_STRENGTHS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = reference.matrices(g)
+            end = reference_product(m)
+            prefix = reference_prefix_products(m)
+        assert np.isfinite(end).all() and np.isfinite(prefix).all()
+        w, dw = end[:, 0, -1] + end[:, 1, -1] * L
+        got = _integrate_log_radial(pot, ell, g, DEFAULT_CONFIG, DEFAULT_LOG_STEP)
+        assert _bits(*got[:3]) == _bits(w, dw, s_end) and got[3] == 0
+        w, dw = prefix[:, 0] + prefix[:, 1] * L
+        negative = np.concatenate([[False], w < 0.0])
+        nodes = int(np.count_nonzero(negative[1:] != negative[:-1]))
+        got = _integrate_log_radial(pot, ell, g, DEFAULT_CONFIG, DEFAULT_LOG_STEP,
+                                    count_nodes=True)
+        assert _bits(*got[:3]) == _bits(w[-1], dw[-1], s_end) and got[3] == nodes
 
 
 @pytest.mark.parametrize("ell", (0, 1, 3))
