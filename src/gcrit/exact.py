@@ -55,8 +55,9 @@ def greens_function(ell: int, r, rp):
     lo = np.minimum(r, rp)
     hi = np.maximum(r, rp)
     # lo/hi <= 1 keeps the power bounded where lo^(l+1) would underflow
-    # and hi^(-l) overflow
-    out = lo * (lo / hi) ** ell / (2 * ell + 1)
+    # and hi^(-l) overflow; G vanishes with lo, at the origin too
+    ratio = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0)
+    out = lo * ratio ** ell / (2 * ell + 1)
     if out.ndim == 0:
         return float(out)
     return out
@@ -178,6 +179,8 @@ def _build_step_polynomial(pot: Potential, max_radius: float, log_step: float,
         h_steps.append(np.full(n, h))
     r = np.concatenate(r_steps, axis=1)
     h = np.concatenate(h_steps)
+    # the radii go before the 12 rows are allocated, which are filled one
+    # at a time: a solve's peak memory is this build
     del r_steps, h_steps
     # r^2 v = inf leaves kappa = inf and NaN coefficients, which the shot
     # reports as a non-finite state
@@ -190,8 +193,6 @@ def _build_step_polynomial(pot: Potential, max_radius: float, log_step: float,
         c0, ch, c1 = r2v
         P = AngularMomentum(ell).L ** 2
         e, s, t = 0.25 * h * h, h * h / 6.0, h / 6.0
-        # one row at a time, so no more than a row's temporaries coexist
-        # with the 12 rows
         coeffs = np.empty((3, 2, 2, h.size))
         coeffs[0, 0, 0] = 1.0 + s * (3.0 * P + e * P * P)
         coeffs[0, 0, 1] = h + h * s * P

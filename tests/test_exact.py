@@ -34,9 +34,11 @@ def test_greens_function_values():
 
 
 @pytest.mark.parametrize("ell, r, want", [(60, 1e-6, 1e-6 / 121),
-                                           (5, 1e-70, 1e-70 / 11)])
+                                           (5, 1e-70, 1e-70 / 11),
+                                           (0, 0.0, 0.0), (3, 0.0, 0.0)])
 def test_greens_function_is_finite_where_its_powers_are_not(ell, r, want):
-    # r^(l+1) underflows and r^(-l) overflows, but their product is r
+    # r^(l+1) underflows (or vanishes) and r^(-l) overflows, but their
+    # product is r
     assert greens_function(ell, r, r) == want
 
 
@@ -430,11 +432,10 @@ def reference_log_grid(pot, cfg=DEFAULT_CONFIG, log_step=DEFAULT_LOG_STEP):
     return np.concatenate(radii, axis=1), np.concatenate(steps)
 
 
-def reference_step_coefficients(pot, ell, cfg=DEFAULT_CONFIG,
-                                log_step=DEFAULT_LOG_STEP):
+def reference_step_coefficients(pot, ell):
     """The step polynomial's coefficients and kappa, stacked from 12
     temporaries as first written."""
-    r, h = reference_log_grid(pot, cfg, log_step)
+    r, h = reference_log_grid(pot)
     with np.errstate(over="ignore", invalid="ignore"):
         r2v = r ** 2 * pot.evaluate(r)
         kappa = float(r2v.max()) or 1.0
