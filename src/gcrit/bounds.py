@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (AccuracyError, DegeneratePotentialError, DomainError,
-                     IntegrationError, InvariantViolation, SearchRangeError)
+from .errors import (AccuracyError, DomainError, IntegrationError,
+                     InvariantViolation, SearchRangeError)
 from .exact import critical_coupling_nystrom, critical_coupling_shooting
 from .optimize import bisect, bracket, minimize_scalar_log
 from .potentials import AngularMomentum, Kind, Potential
@@ -59,7 +59,7 @@ class BoundResult:
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value > 0):
-            raise DegeneratePotentialError(
+            raise AccuracyError(
                 f"{self.method.value} produced a non-positive bound {self.value!r}")
 
 
@@ -79,7 +79,7 @@ def _rel_cfg(cfg: QuadratureConfig) -> QuadratureConfig:
 
 def _positive(value: float, what: str) -> float:
     if not (math.isfinite(value) and value > 0):
-        raise DegeneratePotentialError(f"{what} evaluated to {value!r}")
+        raise AccuracyError(f"{what} evaluated to {value!r}")
     return value
 
 
@@ -118,8 +118,7 @@ def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
         nonlocal accepted, rejection
         try:
             res = trial(x, search_cfg)
-        except (AccuracyError, DegeneratePotentialError, IntegrationError,
-                SearchRangeError) as exc:
+        except (AccuracyError, IntegrationError, SearchRangeError) as exc:
             rejection = str(exc)   # exc's traceback would hold this frame
             return math.inf
         if not res.value > low:
@@ -297,10 +296,6 @@ def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
     return bisect(excess, lo, hi, 1e-12)
 
 
-class _RuleRejected(Exception):
-    """The frozen Calogero II rule turned non-finite."""
-
-
 def upper_calogero_II_at(pot: Potential, ell: int, a: float,
                          g_trial: float = 1.0,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
@@ -316,7 +311,9 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     trial g costs one vectorized sum.  The outcome stands if adaptive
     quadrature, in one `lockstep` pass, agrees in sign at the samples that
     decided it: the final bracket, or the last sample before a
-    SearchRangeError.  Otherwise the search reruns on adaptive values, and
+    SearchRangeError.  A frozen sum that is not finite raises
+    IntegrationError, which ends the frozen search with nothing to confirm.
+    Without a confirmed outcome the search reruns on adaptive values, and
     its first unknown strength is evaluated in one lockstep pass with every
     strength the frozen search tried.  Every value and error is that of its
     own adaptive integral, and an error raises only at a strength the
@@ -362,14 +359,14 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     def frozen_excess(g):
         f = known[g0] if g == g0 else x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
         if not math.isfinite(f):
-            raise _RuleRejected
+            raise IntegrationError(f"frozen Calogero II rule non-finite at g = {g!r}")
         sampled[g] = f
         return f
 
     # the one error state of the Calogero II integrand outside `_panels`
     # (which sets its own): the frozen factors and search; an overflowing
-    # t^2 makes a frozen value non-finite, which rejects the rule, instead
-    # of a warning
+    # t^2 makes a frozen value non-finite, which raises IntegrationError,
+    # instead of a warning
     with np.errstate(over="ignore", invalid="ignore"):
         v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
         failure, decided = None, ()
@@ -377,7 +374,7 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
             decided = _bracket_threshold(frozen_excess, g0)
         except SearchRangeError as exc:
             failure, decided = exc, [next(reversed(sampled))]   # the last sample
-        except _RuleRejected:
+        except IntegrationError:
             pass
     confirm(decided)
     if decided and all(not isinstance(known[g], Exception)

@@ -9,7 +9,7 @@ Three verbs:
 Configuration is a flat INI file (a [potential] section plus optional [run]
 and [quadrature] sections); every key can also be given as a flag.  Exit
 codes: 0 success, 1 invariant or reproduction failure, 2 configuration
-error, 3 numerical non-convergence.
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import time
 from dataclasses import dataclass
 
 from .bounds import METHODS, Method, Side, sandwich
-from .errors import (AccuracyError, ConfigurationError, DegeneratePotentialError,
-                     DomainError, IntegrationError, InvariantViolation,
-                     NoBoundStateError, SearchRangeError, TruncationError)
+from .errors import (AccuracyError, ConfigurationError, DomainError,
+                     IntegrationError, InvariantViolation, NoBoundStateError,
+                     SearchRangeError, TruncationError)
 from .potentials import SHAPES, Kind, Potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .tables import render, reproduce_table
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError, DegeneratePotentialError) as exc:
+    except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AccuracyError, IntegrationError, NoBoundStateError,

@@ -9,16 +9,14 @@ class ConfigurationError(ValueError):
     """A potential or run configuration is structurally invalid."""
 
 
-class DegeneratePotentialError(ValueError):
-    """A defining integral of the potential vanishes or diverges."""
-
-
 class TruncationError(RuntimeError):
     """A tail never drops below the requested tolerance within the radius cap."""
 
 
 class AccuracyError(RuntimeError):
-    """A numerical budget was exhausted before the target accuracy was met.
+    """A numerical budget was exhausted before the target accuracy was met,
+    or a defining integral of a valid shape, or a bound formed from one,
+    under- or overflowed.
 
     Carries the best estimate produced so far, when one exists.
     """
@@ -34,11 +32,12 @@ class SearchRangeError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The ODE integrator or a quadrature integrand produced a non-finite value."""
+    """The ODE integrator, a quadrature integrand or a frozen quadrature rule
+    produced a non-finite value."""
 
 
 class NoBoundStateError(RuntimeError):
-    """No zero-energy threshold was found below the strength cap."""
+    """The shooting scan found no zero-energy threshold below its strength cap."""
 
 
 class InvariantViolation(RuntimeError):

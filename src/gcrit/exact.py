@@ -331,7 +331,7 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     if g_start is None:
         moment = pot.support_integral(lambda r: r * pot.evaluate(r), cfg)
         if not moment > 0:
-            raise NoBoundStateError("shape has a vanishing first moment")
+            raise AccuracyError(f"first moment of the shape evaluated to {moment!r}")
         g_start = 0.98 * (2 * ell + 1) / moment
 
     known = {}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcrit import bounds
+from gcrit import bounds, errors
 from gcrit.bounds import (METHODS, BoundResult, Method, SandwichReport, Side,
                           sandwich)
 from gcrit.cli import (CSV_COLUMNS, METHOD_NAMES, RunConfig, RunRecord,
@@ -225,10 +225,10 @@ def test_cli_tabulated_grid(tmp_path, capsys):
 
 
 GRID_METHODS = [m.value for m, spec in METHODS.items() if spec.kind is None]
+GRID_ARGVS = [["compute", "--methods", m] for m in GRID_METHODS] + [["check"]]
 
 
-@pytest.mark.parametrize("argv", [["compute", "--methods", m] for m in GRID_METHODS]
-                         + [["check"]])
+@pytest.mark.parametrize("argv", GRID_ARGVS)
 def test_cli_all_zero_grid_is_one_configuration_error(tmp_path, capsys, argv):
     assert len(GRID_METHODS) == 9
     grid = tmp_path / "zero.csv"
@@ -236,6 +236,48 @@ def test_cli_all_zero_grid_is_one_configuration_error(tmp_path, capsys, argv):
     assert main([*argv, "--potential", "tabulated", "--grid-csv", str(grid)]) == 2
     assert capsys.readouterr().err == (
         "configuration error: grid values must not all be zero\n")
+
+
+# valid shapes whose defining integrals underflow: every grid method fails on
+# the subnormal grid, and the second- and third-order moments on the 1e-300 one
+_UNDERFLOWING_GRIDS = {"subnormal": "0.5,5e-324\n1.0,5e-324\n2.0,0\n",
+                       "1e-300": "0.5,1e-300\n1.0,1e-300\n2.0,0\n"}
+
+
+@pytest.mark.parametrize("name, argv", [("subnormal", argv) for argv in GRID_ARGVS]
+                         + [("1e-300", ["compute", "--methods", m])
+                            for m in ("second_order", "third_order")]
+                         + [("1e-300", ["check"])])
+def test_cli_grid_that_underflows_is_a_numerical_error(tmp_path, capsys, name, argv):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(_UNDERFLOWING_GRIDS[name])
+    assert main([*argv, "--potential", "tabulated", "--grid-csv", str(grid)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:")
+    assert "Traceback" not in err
+
+
+# every error type of the package, by the exit code `main` ends in
+_EXIT_CODES = {errors.ConfigurationError: 2, errors.DomainError: 2,
+               errors.AccuracyError: 3, errors.IntegrationError: 3,
+               errors.NoBoundStateError: 3, errors.SearchRangeError: 3,
+               errors.TruncationError: 3, errors.InvariantViolation: 1}
+_EXIT_PREFIXES = {1: "invariant violation: ", 2: "configuration error: ",
+                  3: "numerical error: "}
+
+
+def test_every_error_type_has_one_exit_code(monkeypatch, capsys):
+    declared = {obj for obj in vars(errors).values()
+                if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert declared == set(_EXIT_CODES)
+    for error, code in _EXIT_CODES.items():
+        def failing_run(config):
+            raise error("raised on purpose")
+
+        monkeypatch.setattr("gcrit.cli.run", failing_run)
+        assert main(["compute", "--potential", "square_well"]) == code, error
+        err = capsys.readouterr().err
+        assert err == f"{_EXIT_PREFIXES[code]}raised on purpose\n", error
 
 
 def test_load_grid_csv_rejects_garbage(tmp_path):
@@ -726,6 +768,11 @@ def test_cli_compute_ends_in_an_exit_code_and_prints_only_finite_numbers(
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)   # anything raised here fails the test
-    assert code in (0, 1, 2, 3), (argv, code)
+    # every example is a valid shape: only a method for another kind is a
+    # configuration error, and any other failure is numerical
+    if method == "variational_closed_form" and kind != "square_well":
+        assert code == 2, (argv, code)
+    else:
+        assert code in (0, 3), (argv, code)
     assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
     assert "Traceback" not in err.getvalue()
