@@ -26,8 +26,7 @@ from .exact import critical_coupling_nystrom, critical_coupling_shooting
 from .optimize import bisect, bracket, minimize_scalar_log
 from .potentials import AngularMomentum, Kind, Potential
 from .quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig, integrate,
-                         integrate_semi_infinite, lockstep, nested_double,
-                         nested_triple, replaying)
+                         lockstep, nested_double, nested_triple, replaying)
 
 
 class Method(str, Enum):
@@ -237,9 +236,7 @@ def upper_calogero_I_at(pot: Potential, ell: int, a: float,
     rcfg, cut, points = _rel_cfg(cfg), unit.cutoff, unit.breakpoints()
     total = integrate(inner, 0.0, x if cut is None else min(x, cut), rcfg,
                       points=points).value
-    if cut is None:
-        total += integrate_semi_infinite(outer, x, rcfg, points=points).value
-    elif x < cut:
+    if cut is None or x < cut:
         total += integrate(outer, x, cut, rcfg, points=points).value
     total = _positive(total, "matching-radius functional")
     return BoundResult(Method.CALOGERO_I, Side.UPPER, k / total, ell,

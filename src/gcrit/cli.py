@@ -7,9 +7,10 @@ Three verbs:
     check      sandwich + invariant suite, nonzero exit on any violation
 
 Configuration is a flat INI file (a [potential] section plus optional [run]
-and [quadrature] sections); every key can also be given as a flag.  Exit
-codes: 0 success, 1 invariant or reproduction failure, 2 configuration
-error, 3 numerical failure.
+and [quadrature] sections).  Every [potential] and [run] key can also be
+given as a flag, which overrides the file (`check` reads only [run]'s ell);
+the [quadrature] keys have no flag.  Exit codes: 0 success, 1 invariant or
+reproduction failure, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ CSV_COLUMNS = ("ell", "g_BS", "g_eq2", "g_B", "g_GGMT", "g_c_shoot",
 METHOD_NAMES = tuple(m.value for m in METHODS)
 
 
+def _unique(items) -> tuple:
+    """Repeated methods and partial waves alike: first appearance wins."""
+    return tuple(dict.fromkeys(items))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     potential: Potential
@@ -52,6 +58,7 @@ class RunConfig:
     quadrature: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
+        object.__setattr__(self, "ells", _unique(self.ells))
         if not self.ells:
             raise ConfigurationError("at least one ell is required")
         if any(e < 0 for e in self.ells):
@@ -83,10 +90,7 @@ def expand_methods(names, potential: Potential) -> tuple[str, ...]:
     first appearance sets the order, repeats are dropped."""
     every = [m.value for m, spec in METHODS.items()
              if spec.side is not Side.EXACT and spec.kind in (None, potential.kind)]
-    out: dict[str, None] = {}
-    for name in names:
-        out.update(dict.fromkeys(every if name == "all" else (name,)))
-    return tuple(out)
+    return _unique(m for name in names for m in (every if name == "all" else (name,)))
 
 
 def run(config: RunConfig) -> list[RunRecord]:
@@ -164,13 +168,13 @@ def build_potential(kind: str, R: float = 1.0, alpha: float | None = None,
             f"unknown potential kind {kind!r}; choose from "
             f"{', '.join(x.value for x in Kind)}") from None
     # the one parameter the kind takes, if any; the others are ignored
-    param = SHAPES[k].param if k in SHAPES else "grid_csv"
+    param = "grid_csv" if k is Kind.TABULATED else SHAPES[k].param
     value = {"alpha": alpha, "shell_width": shell_width, "grid_csv": grid_csv}.get(param)
     if param is not None and value is None:
         raise ConfigurationError(f"field {param} is required for kind {k.value}")
-    if k in SHAPES:
-        return Potential(k, R=R, **({param: float(value)} if param else {}))
-    return Potential.tabulated(load_grid_csv(value))
+    if k is Kind.TABULATED:
+        return Potential.tabulated(load_grid_csv(value))
+    return Potential(k, R=R, **({param: float(value)} if param else {}))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -286,7 +290,7 @@ def _cmd_check(args) -> int:
         # every analytic kind, at its parameter's default; one without a default sits out
         potentials = [Potential(k, **({s.param: s.default} if s.param else {}))
                       for k, s in SHAPES.items() if s.param is None or s.default]
-        ells, cfg = (tuple(args.ell) if args.ell else (0, 1, 2)), DEFAULT_CONFIG
+        ells, cfg = _unique(args.ell or (0, 1, 2)), DEFAULT_CONFIG
     failures = 0
 
     def report(ok: bool, text: str):

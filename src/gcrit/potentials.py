@@ -1,10 +1,10 @@
 """Radial shape functions v(r) for attractive potentials V(r) = -g v(r).
 
-The built-in catalog covers a square well, an exponential, a Yukawa and a
-shifted truncated inverse-square (STIS) well, each held once in `SHAPES` at
-unit radius, so the critical strength is independent of the radius R.  A
-narrow-shell shape approximates a delta ring, and tabulated shapes
-interpolate user grids, taken in their own units.
+Every kind is one entry of `SHAPES`: a square well, an exponential, a Yukawa,
+a shifted truncated inverse-square (STIS) well, a narrow shell approximating
+a delta ring, and a tabulated grid interpolating user data.  An analytic
+kind is held at unit radius, so its critical strength is independent of the
+radius R; a grid keeps its own units.  Only `Potential.scale` tells them apart.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, TruncationError
 from .optimize import bisect, bracket
-from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite
+from .quadrature import QuadratureConfig, integrate
 
 
 class Kind(str, Enum):
@@ -32,12 +32,13 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True)
 class Shape:
-    """One analytic kind: v(x, q) at unit radius, so that at radius R the
-    shape is v(r/R, q) / R^2 and its critical coupling does not depend on R."""
+    """One shape kind: v(x, q) in units of `Potential.scale`, so that at
+    scale s the shape is v(r/s, q) / s^2.  An analytic kind's scale is its
+    radius R, so its critical coupling does not depend on R; a grid's is 1."""
 
     v: Callable
     end: Callable | None = None       # support end(q); None: v decays
-    breaks: tuple[float, ...] = ()    # interior breakpoints, sorted
+    breaks: Callable = lambda q: ()   # interior breakpoints breaks(q), sorted
     param: str | None = None          # the Potential field that sets q,
     per_radius: bool = False          # divided by R when set
     label: str | None = None          # label format of the field's value
@@ -45,7 +46,7 @@ class Shape:
     start: float = 1e-6               # shooting start radius, in units of R
 
 
-#: every analytic kind; a tabulated grid is taken in its own units
+#: every shape kind; a grid's q is its read-only (radii, values) arrays
 SHAPES = {
     Kind.SQUARE_WELL: Shape(lambda x, q: np.where(x <= 1.0, 1.0, 0.0),
                             end=lambda q: 1.0),
@@ -56,9 +57,13 @@ SHAPES = {
                      end=lambda q: q, param="alpha", label="stis(alpha={:g})",
                      default=1.0),
     Kind.SHELL: Shape(lambda x, q: np.where((x >= 1.0) & (x <= 1.0 + q), 1.0 / q, 0.0),
-                      end=lambda q: 1.0 + q, breaks=(1.0,),
+                      end=lambda q: 1.0 + q, breaks=lambda q: (1.0,),
                       param="shell_width", per_radius=True,
                       label="shell(width={:g})"),
+    # v0 below the first knot, linear between knots, zero beyond the last
+    Kind.TABULATED: Shape(lambda x, q: np.interp(x, *q, left=q[1][0], right=0.0),
+                          end=lambda q: float(q[0][-1]),
+                          breaks=lambda q: tuple(q[0][:-1].tolist()), param="grid"),
 }
 
 
@@ -114,14 +119,8 @@ class Potential:
             if s is not spec and s.param and getattr(self, s.param) is not None:
                 raise ConfigurationError(
                     f"{s.param} is only meaningful for {kind.value}, not {self.kind.value}")
-        value = getattr(self, spec.param) if spec and spec.param else None
+        value = getattr(self, spec.param) if spec.param else None
         q = value / self.R if value is not None and spec.per_radius else value
-        if spec and spec.param and not (q is not None and math.isfinite(q) and q > 0):
-            raise ConfigurationError(
-                f"{self.kind.value} requires a positive {spec.param}, got {value!r}")
-        # the parameter at unit radius; a plain attribute, so eq and hash
-        # ignore it
-        object.__setattr__(self, "_q", q)
         if self.kind is Kind.TABULATED:
             if not self.grid:
                 raise ConfigurationError("tabulated potential requires a nonempty grid")
@@ -137,10 +136,13 @@ class Potential:
                 raise ConfigurationError("grid values must not all be zero")
             radii.flags.writeable = False
             values.flags.writeable = False
-            object.__setattr__(self, "_radii", radii)
-            object.__setattr__(self, "_values", values)
-        elif self.grid is not None:
-            raise ConfigurationError("grid is only meaningful for tabulated")
+            q = (radii, values)
+        elif spec.param and not (q is not None and math.isfinite(q) and q > 0):
+            raise ConfigurationError(
+                f"{self.kind.value} requires a positive {spec.param}, got {value!r}")
+        # the parameter in units of `scale`; a plain attribute, so eq and
+        # hash ignore it
+        object.__setattr__(self, "_q", q)
 
     # -- constructors -------------------------------------------------------
 
@@ -189,22 +191,23 @@ class Potential:
     # -- geometry -----------------------------------------------------------
 
     @property
-    def _spec(self) -> Shape | None:
-        return SHAPES.get(self.kind)   # None for a tabulated grid
+    def _spec(self) -> Shape:
+        return SHAPES[self.kind]
 
     @property
     def unit(self) -> "Potential":
-        """The shape the numerics work on, in units of `scale`: an analytic
-        kind at R = 1 (itself when R is 1), a tabulated grid unchanged."""
-        if self.R == 1.0 or self._spec is None:
+        """The shape the numerics work on, in units of `scale`: itself when
+        the scale is 1, else the same kind at R = 1."""
+        if self.scale == 1.0:
             return self
         param = self._spec.param
         return replace(self, R=1.0, **({param: self._q} if param else {}))
 
     @property
     def scale(self) -> float:
-        """The length unit of `unit`: R for an analytic kind, 1 for a grid."""
-        return 1.0 if self._spec is None else self.R
+        """The length unit of `unit`, and the one member that tells the kinds
+        apart: R for an analytic kind, 1 for a grid, kept in its own units."""
+        return 1.0 if self.kind is Kind.TABULATED else self.R
 
     @property
     def is_compact(self) -> bool:
@@ -213,21 +216,17 @@ class Potential:
     @property
     def cutoff(self) -> float | None:
         """End of the support for compact shapes, None for decaying ones."""
-        spec = self._spec
-        if spec is None:
-            return self.grid[-1][0]
-        return None if spec.end is None else spec.end(self._q) * self.R
+        end = self._spec.end
+        return None if end is None else end(self._q) * self.scale
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior radii where v jumps or kinks (support ends excluded)."""
-        if self._spec is None:
-            return tuple(r for r, _ in self.grid[:-1])
-        return tuple(b * self.R for b in self._spec.breaks)
+        return tuple(b * self.scale for b in self._spec.breaks(self._q))
 
     @property
     def start_radius(self) -> float:
         """Where shooting starts: `Shape.start` times R (a grid's last radius)."""
-        return (self._spec or Shape).start * self.R
+        return self._spec.start * self.R
 
     @property
     def support(self) -> dict:
@@ -237,20 +236,15 @@ class Potential:
 
     def support_integral(self, f, cfg: QuadratureConfig) -> float:
         """Integral of f over the `support` axis."""
-        if self.is_compact:
-            return integrate(f, 0.0, self.cutoff, cfg, points=self.breakpoints()).value
-        return integrate_semi_infinite(f, 0.0, cfg, points=self.breakpoints()).value
+        return integrate(f, 0.0, self.cutoff, cfg, points=self.breakpoints()).value
 
     # -- evaluation ---------------------------------------------------------
 
     def _shape(self, r: np.ndarray) -> np.ndarray:
-        spec = self._spec
-        if spec is None:
-            return np.interp(r, self._radii, self._values, left=self._values[0],
-                             right=0.0)
-        if self.R == 1.0:   # the numerics' case: skip two array passes
+        spec, s = self._spec, self.scale
+        if s == 1.0:   # the numerics' case: skip two array passes
             return spec.v(r, self._q)
-        return spec.v(r / self.R, self._q) / self.R ** 2
+        return spec.v(r / s, self._q) / s ** 2
 
     def evaluate(self, r):
         """v(r) for a positive radius or an array of positive radii."""
@@ -309,6 +303,5 @@ class Potential:
                                 tuple(s_origin), tuple(s_tail))
 
     def label(self) -> str:
-        if self._spec is None or self._spec.label is None:
-            return self.kind.value
-        return self._spec.label.format(getattr(self, self._spec.param))
+        fmt = self._spec.label
+        return self.kind.value if fmt is None else fmt.format(getattr(self, self._spec.param))

@@ -13,8 +13,8 @@ must tolerate any point strictly inside the interval.  Nodes stay off an
 end at 0, where floats are dense, so integrable singularities there need no
 special casing; at another end a panel some 64 ulps wide can put a node on
 it (`integrate`).  Semi-infinite
-integrals map [a, inf) onto [0, 1) with x = a + t/(1-t), which preserves
-polynomial-times-exponential decay well.
+integrals, `integrate(f, a, None)`, map [a, inf) onto [0, 1) with
+x = a + t/(1-t), which preserves polynomial-times-exponential decay well.
 
 The refinement (`_refinement`) is written once, as a generator that asks
 for the estimates of the panels it needs and is sent them.  One driver
@@ -387,7 +387,8 @@ def _adaptive(f, a, b, cfg, points=()):
 
 def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
               points: Sequence[float] = ()) -> IntegralResult:
-    """Integrate f over the finite interval (a, b).
+    """Integrate f over the interval (a, b), or over [a, inf) when b is None
+    for an f decaying faster than 1/x^2 (mapped onto (0, 1) by `_axis`).
 
     f must accept numpy arrays and be pointwise: it is called at most once
     per refinement step and `MAX_CALL_NODES` nodes, on the nodes of several
@@ -396,12 +397,13 @@ def integrate(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG,
     IntegrationError on (1, 2).
     `points` seeds panel edges at known breakpoints of the integrand.
     """
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
+    a, b = float(a), None if b is None else float(b)
+    if not (math.isfinite(a) and (b is None or math.isfinite(b))):
         raise DomainError("integrate requires finite endpoints")
-    if not a < b:
+    if b is not None and not a < b:
         raise DomainError(f"empty or reversed interval [{a}, {b}]")
-    _, value, error, evals = _adaptive(f, a, b, cfg, points)
+    lo, hi, wrap, seeds = _axis(b, points, a)
+    _, value, error, evals = _adaptive(wrap(f), lo, hi, cfg, seeds)
     return IntegralResult(value, error, evals)
 
 
@@ -421,12 +423,8 @@ def _transformed(f, a):
 
 def integrate_semi_infinite(f, a, cfg: QuadratureConfig = DEFAULT_CONFIG,
                             points: Sequence[float] = ()) -> IntegralResult:
-    """Integrate f over [a, inf) for integrands decaying faster than 1/x^2."""
-    a = float(a)
-    if not math.isfinite(a):
-        raise DomainError("lower endpoint must be finite")
-    lo, hi, wrap, seeds = _axis(None, points, a)
-    return integrate(wrap(f), lo, hi, cfg, points=seeds)
+    """Integrate f over [a, inf): `integrate(f, a, None, cfg, points)`."""
+    return integrate(f, a, None, cfg, points)
 
 
 def lockstep(f, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -441,9 +439,8 @@ def lockstep(f, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
     `replaying` the first round also evaluates, for each member, the latest
     tree of the block on this axis, such as that of the `FixedRule` a search
     has just built.  Returns, per member, the `IntegralResult` of
-    `integrate` or `integrate_semi_infinite` on that integrand, or the
-    AccuracyError or IntegrationError it would raise; an exception of f
-    itself propagates.
+    `integrate` on that integrand and axis, or the AccuracyError or
+    IntegrationError it would raise; an exception of f itself propagates.
     """
     lo, hi, wrap, seeds = _axis(upper, points)
     g = wrap(f)
@@ -545,7 +542,7 @@ class FixedRule:
     """The final panel partition of one adaptive pass, kept as a fixed rule.
 
     Integrates w adaptively on the axis `_axis(upper, points)`, exactly as
-    `integrate` and `integrate_semi_infinite` do; `total` is that value.
+    `integrate` does; `total` is that value.
     `nodes` (in the original variable) and `weights` (panel half-widths
     times Kronrod weights, times the Jacobian of the map on a semi-infinite
     axis) then integrate any integrand close enough to w as

@@ -27,7 +27,8 @@ from gcrit.cli import main
 from gcrit.errors import (AccuracyError, DomainError, IntegrationError,
                           InvariantViolation, SearchRangeError)
 from gcrit.potentials import Potential
-from gcrit.quadrature import DEFAULT_CONFIG, FixedRule, integrate
+from gcrit.quadrature import (DEFAULT_CONFIG, FixedRule, integrate,
+                              integrate_semi_infinite)
 
 SW = Potential.square_well()
 EXP = Potential.exponential()
@@ -89,6 +90,32 @@ def test_power_family_never_below_first_moment():
 def test_power_family_domain():
     with pytest.raises(DomainError):
         lower_ggmt_at(SW, 0, 0.5)
+
+
+def reference_calogero_I_at(pot, ell, a, cfg=DEFAULT_CONFIG):
+    """`upper_calogero_I_at` on a decaying shape as it was written out before
+    `integrate` took an open upper end: the outer integral is a second call,
+    to `integrate_semi_infinite`."""
+    unit, x = pot.unit, a / pot.scale
+    k = 2 * ell + 1
+
+    def inner(r):
+        return r * unit.evaluate(r) * (r / x) ** k
+
+    def outer(r):
+        return r * unit.evaluate(r) * (x / r) ** k
+
+    rcfg, points = _rel_cfg(cfg), unit.breakpoints()
+    total = integrate(inner, 0.0, x, rcfg, points=points).value
+    total += integrate_semi_infinite(outer, x, rcfg, points=points).value
+    return k / total
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("pot", [EXP, YUK], ids=["exponential", "yukawa"])
+def test_matching_radius_I_on_a_decaying_shape_is_the_two_call_reference(pot, a):
+    for ell in (0, 2):
+        assert upper_calogero_I_at(pot, ell, a).value == reference_calogero_I_at(pot, ell, a)
 
 
 def test_matching_radius_I_square_well_analytic():

@@ -298,3 +298,116 @@ def test_a_potential_is_a_pure_value():
     critical_coupling_nystrom(pot, 0, n=1600)
     pot.support_radius(1e-12)
     assert pickle.dumps(pot) == before
+
+
+# -- one shape model: the grid is a `SHAPES` entry like every analytic kind ----
+
+def reference_grid_geometry(pot):
+    """The tabulated branches of `Potential` as they were written out before
+    the grid became a `SHAPES` entry: the reference every member must match,
+    value for value and type for type."""
+    radii = np.array([p[0] for p in pot.grid], dtype=float)
+    values = np.array([p[1] for p in pot.grid], dtype=float)
+    return {"cutoff": pot.grid[-1][0],
+            "breakpoints": tuple(r for r, _ in pot.grid[:-1]),
+            "start_radius": 1e-6 * pot.grid[-1][0],
+            "v": lambda r: np.interp(r, radii, values, left=values[0], right=0.0),
+            "unit": pot, "scale": 1.0, "label": "tabulated"}
+
+
+def reference_analytic_geometry(pot):
+    """The analytic kinds as they were written out before the grid became a
+    `SHAPES` entry: v(x, q) at unit radius, and every length times R."""
+    R = pot.R
+    q = {Kind.STIS: pot.alpha,
+         Kind.SHELL: None if pot.shell_width is None else pot.shell_width / R}.get(pot.kind)
+    v, end, breaks, start = {
+        Kind.SQUARE_WELL: (lambda x: np.where(x <= 1.0, 1.0, 0.0), 1.0, (), 1e-6),
+        Kind.EXPONENTIAL: (lambda x: np.exp(-x), None, (), 1e-6),
+        Kind.YUKAWA: (lambda x: np.exp(-x) / x, None, (), 1e-8),
+        Kind.STIS: (lambda x: np.where(x <= q, (1.0 + x) ** -2.0, 0.0), q, (), 1e-6),
+        Kind.SHELL: (lambda x: np.where((x >= 1.0) & (x <= 1.0 + q), 1.0 / q, 0.0),
+                     None if q is None else 1.0 + q, (1.0,), 1e-6),
+    }[pot.kind]
+    param = {Kind.STIS: "alpha", Kind.SHELL: "shell_width"}.get(pot.kind)
+    return {"cutoff": None if end is None else end * R,
+            "breakpoints": tuple(b * R for b in breaks),
+            "start_radius": start * R,
+            "v": (lambda r: v(r)) if R == 1.0 else (lambda r: v(r / R) / R ** 2),
+            "unit": pot if R == 1.0 else Potential(pot.kind, R=1.0,
+                                                   **({param: q} if param else {})),
+            "scale": R,
+            "label": (f"stis(alpha={pot.alpha:g})" if pot.kind is Kind.STIS
+                      else f"shell(width={pot.shell_width:g})" if pot.kind is Kind.SHELL
+                      else pot.kind.value)}
+
+
+def _assert_geometry(pot, want, radii):
+    for name in ("cutoff", "start_radius", "scale"):
+        got = getattr(pot, name)
+        assert got == want[name] and type(got) is type(want[name]), name
+    got = pot.breakpoints()
+    assert got == want["breakpoints"]
+    assert [type(b) for b in got] == [type(b) for b in want["breakpoints"]]
+    if want["unit"] is pot:
+        assert pot.unit is pot
+    else:
+        assert pot.unit == want["unit"]
+    assert pot.label() == want["label"]
+    got_v, want_v = pot.evaluate(radii), want["v"](radii)
+    assert got_v.dtype == want_v.dtype and np.array_equal(got_v, want_v)
+    for r in radii[::7]:
+        got_r = pot.evaluate(float(r))
+        assert type(got_r) is float and got_r == float(want["v"](np.asarray(r)))
+
+
+def _grid_ladder(grid):
+    """Radii from a quarter of the first knot to four times the last, the
+    knots and the midpoints between them."""
+    knots = np.array([r for r, _ in grid])
+    mids = 0.5 * (knots[1:] + knots[:-1])
+    ladder = np.geomspace(0.25 * knots[0], 4.0 * knots[-1], 97)
+    return np.concatenate([ladder, knots, mids])
+
+
+def test_every_kind_is_a_shape_entry():
+    from gcrit.potentials import SHAPES
+    assert set(SHAPES) == set(Kind)
+
+
+def test_pool_grids_match_the_written_out_grid_branches(workloads):
+    grids = [workloads.sweep_grid(k, s) for k in workloads.SWEEP_KNOTS
+             for s in range(workloads.SWEEP_POOL)]
+    assert len(grids) == 24   # the distinct grids of the 72 sweep-pool items
+    for grid in grids:
+        pot = Potential.tabulated(grid)
+        _assert_geometry(pot, reference_grid_geometry(pot), _grid_ladder(pot.grid))
+
+
+@pytest.mark.parametrize("grid", [
+    [(0.7, 2.0)],
+    [(0.5, 1.0), (1.0, 1.0), (2.0, 0.0)],
+], ids=["1-knot", "3-knot"])
+def test_small_grids_match_the_written_out_grid_branches(grid):
+    pot = Potential.tabulated(grid)
+    _assert_geometry(pot, reference_grid_geometry(pot), _grid_ladder(pot.grid))
+
+
+@pytest.mark.parametrize("R", [1.0, 2.5, 1e-3])
+@pytest.mark.parametrize("make", [
+    Potential.square_well, Potential.exponential, Potential.yukawa,
+    lambda R: Potential.stis(alpha=2.0, R=R),
+    lambda R: Potential.shell(width=0.3 * R, R=R),
+], ids=["square_well", "exponential", "yukawa", "stis", "shell"])
+def test_analytic_kinds_match_the_written_out_branches(make, R):
+    pot = make(R)
+    edges = [*pot.breakpoints(), *([pot.cutoff] if pot.is_compact else [])]
+    radii = np.concatenate([np.geomspace(1e-3 * R, 50.0 * R, 97), edges,
+                            np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    _assert_geometry(pot, reference_analytic_geometry(pot), radii)
+
+
+def test_a_grid_on_another_kind_is_a_foreign_parameter():
+    with pytest.raises(ConfigurationError,
+                       match="grid is only meaningful for tabulated, not square_well"):
+        Potential(Kind.SQUARE_WELL, grid=((1.0, 1.0),))

@@ -1066,3 +1066,32 @@ def test_an_overflow_prints_no_warning(tmp_path, method):
     assert proc.returncode == _HUGE_GRID_EXITS[method]
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def reference_semi_infinite(f, a, cfg, points):
+    """`integrate_semi_infinite` as it was written out before `integrate`
+    took an open upper end: map the axis, then integrate on (0, 1)."""
+    a = float(a)
+    lo, hi, wrap, seeds = quadrature._axis(None, points, a)
+    return integrate(wrap(f), lo, hi, cfg, points=seeds)
+
+
+@pytest.mark.parametrize("a, points", [
+    (0.0, ()), (0.0, (0.5, 2.0)), (1.5, (0.5, 2.0, 7.0)), (3.0, (3.0, 40.0)),
+    (1e-3, (1e-3, 1e-2, 1.0)),
+])
+def test_open_upper_end_is_the_mapped_axis(a, points):
+    def f(x):
+        return x * np.exp(-x) + np.where(x < 2.0, 1.0, 0.0) / (1.0 + x * x)
+
+    want = reference_semi_infinite(f, a, CFG, points)
+    for got in (integrate(f, a, None, CFG, points), integrate_semi_infinite(f, a, CFG, points)):
+        assert (got.value, got.error_estimate, got.evaluations) == (
+            want.value, want.error_estimate, want.evaluations)
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, None), (math.nan, None), (0.0, math.inf),
+                                  (-math.inf, 1.0), (2.0, 2.0), (2.0, 1.0)])
+def test_integrate_rejects_non_finite_ends_and_empty_intervals(a, b):
+    with pytest.raises(DomainError):
+        integrate(lambda x: x, a, b, CFG)

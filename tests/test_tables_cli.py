@@ -736,6 +736,58 @@ def test_cli_check_without_a_potential_visits_every_analytic_kind(monkeypatch, c
     assert "stis(alpha=1) ell=2: solvers agree to 0.00e+00" in out
 
 
+def _stub_sandwich(visited):
+    """A sandwich that records its (label, ell) and reports passing verdicts."""
+    def stub(pot, ell, cfg):
+        visited.append((pot.label(), ell))
+        lows = tuple(BoundResult(m, Side.LOWER, 1.0, ell) for m in (
+            Method.BARGMANN_SCHWINGER, Method.SECOND_ORDER, Method.THIRD_ORDER,
+            Method.GGMT))
+        return SandwichReport(pot, ell, lows,
+                              (BoundResult(Method.CALOGERO_I, Side.UPPER, 2.0, ell),),
+                              1.5, 1.5, 0.0)
+    return stub
+
+
+@pytest.mark.parametrize("source, ells, want", [
+    ("flags", "0 0", ["0"]), ("config", "0 1 0", ["0", "1"])])
+def test_cli_compute_runs_a_repeated_ell_once(tmp_path, capsys, source, ells, want):
+    # a repeated partial wave is dropped as a repeated method is: the first
+    # appearance sets the order
+    argv = ["compute", "--methods", "bargmann_schwinger", "--records"]
+    if source == "flags":
+        argv += ["--potential", "exponential", "--ell", *ells.split()]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[potential]\nkind = exponential\n\n[run]\nell = {ells}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [ell, "bargmann_schwinger"] for ell in want]
+
+
+@pytest.mark.parametrize("source", ["flags", "config", "default"])
+def test_cli_check_runs_a_repeated_ell_once(monkeypatch, tmp_path, capsys, source):
+    visited = []
+    monkeypatch.setattr("gcrit.cli.sandwich", _stub_sandwich(visited))
+    if source == "flags":
+        argv = ["check", "--potential", "square_well", "--ell", "0", "0"]
+    elif source == "config":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[potential]\nkind = square_well\n\n[run]\nell = 0 0\n")
+        argv = ["check", "--config", str(cfg)]
+    else:
+        argv = ["check", "--ell", "1", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    ells = (0,) if source != "default" else (1,)
+    labels = ["square_well"] if source != "default" else [
+        "square_well", "exponential", "yukawa", "stis(alpha=1)"]
+    assert visited == [(label, ell) for label in labels for ell in ells]
+    assert len(out) == len(set(out)) == 5 * len(labels)
+
+
 def test_cli_compute_out_writes_what_stdout_prints(tmp_path, capsys):
     argv = ["compute", "--potential", "exponential", "--ell", "0", "1",
             "--methods", "bargmann_schwinger", "second_order", "--format", "md"]
@@ -775,4 +827,47 @@ def test_cli_compute_ends_in_an_exit_code_and_prints_only_finite_numbers(
     else:
         assert code in (0, 3), (argv, code)
     assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def _grids(draw):
+    """1-60 knots reaching up to 10^[-1, 1], values of 10^[-3, 3] with a run
+    of zeros, and at least one value positive."""
+    n = draw(st.integers(1, 60))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    reach = 10.0 ** draw(st.floats(-1.0, 1.0))
+    total = math.fsum(steps)
+    radii, acc = [], 0.0
+    for step in steps:
+        acc += step
+        radii.append(acc / total * reach)
+    values = [10.0 ** e for e in draw(st.lists(st.floats(-3.0, 3.0),
+                                              min_size=n, max_size=n))]
+    keep = draw(st.integers(0, n - 1))
+    lo = draw(st.integers(0, n))
+    hi = draw(st.integers(lo, n))
+    for i in range(lo, hi):
+        if i != keep:
+            values[i] = 0.0
+    return list(zip(radii, values))
+
+
+@given(grid=_grids(), ell=st.integers(0, 4), method=st.sampled_from(METHOD_NAMES))
+def test_cli_compute_on_a_grid_ends_in_an_exit_code_and_prints_only_finite_numbers(
+        tmp_path_factory, grid, ell, method):
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_text("".join(f"{r!r},{v!r}\n" for r, v in grid))
+    argv = ["compute", "--potential", "tabulated", "--grid-csv", str(path),
+            "--ell", str(ell), "--methods", method]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)   # anything raised here fails the test
+    # every example is a valid grid: only the square well's closed form is a
+    # configuration error, and any other failure is numerical
+    if method == "variational_closed_form":
+        assert code == 2, (grid, argv, code)
+    else:
+        assert code in (0, 3), (grid, argv, code)
+    assert not _NON_FINITE.search(out.getvalue()), (grid, argv, out.getvalue())
     assert "Traceback" not in err.getvalue()
