@@ -96,7 +96,10 @@ def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
     budget or range, meets a vanishing integral or an overflowing integrand,
     or whose value is not above floor(search config), scores as infinitely
     bad; when the search cannot bracket a minimum because every trial did,
-    the AccuracyError names the last rejection.  The bound is then
+    the AccuracyError names the last rejection.  A rejected trial inside
+    the search's final bracket means the optimum may be the edge of a
+    rejected region rather than a minimum, so it raises AccuracyError too,
+    naming that trial and why it was rejected.  The bound is then
     recomputed at the optimum with cfg itself.
 
     Each trial, and the final one, replays the panel trees of the trial
@@ -106,7 +109,7 @@ def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
     low = 0.0 if floor is None else floor(search_cfg)
     trees = {}
     accepted = False
-    rejection = None   # why the last rejected trial was rejected
+    rejected = []   # (x, why it was rejected) of every rejected trial, in order
 
     def trial(x, c):
         nonlocal trees
@@ -114,14 +117,14 @@ def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
             return at(x, c)
 
     def objective(x):
-        nonlocal accepted, rejection
+        nonlocal accepted
         try:
             res = trial(x, search_cfg)
         except (AccuracyError, IntegrationError, SearchRangeError) as exc:
-            rejection = str(exc)   # exc's traceback would hold this frame
+            rejected.append((x, str(exc)))   # exc's traceback would hold this frame
             return math.inf
         if not res.value > low:
-            rejection = f"bound {res.value!r} not above the floor {low!r}"
+            rejected.append((x, f"bound {res.value!r} not above the floor {low!r}"))
             return math.inf
         accepted = True
         return -res.value if res.side is Side.LOWER else res.value
@@ -132,7 +135,12 @@ def _optimize_bound(at, cfg: QuadratureConfig, lo: float, hi: float,
         if accepted:
             raise
         raise AccuracyError(f"every trial of the search was rejected, the last "
-                            f"because {rejection}") from exc
+                            f"because {rejected[-1][1]}") from exc
+    x_lo, x_hi = best.bracket
+    for x, why in reversed(rejected):
+        if x_lo <= x <= x_hi:
+            raise AccuracyError(f"the optimum at {best.x!r} borders the trial at "
+                                f"{x!r}, which was rejected because {why}")
     return trial(best.x, cfg)
 
 
@@ -470,21 +478,6 @@ def upper_variational_square_well(ell: int) -> BoundResult:
     p_star = math.sqrt(L + 1.0)
     return BoundResult(Method.VARIATIONAL_CLOSED_FORM, Side.UPPER,
                        L * (p_star + 1.0) ** 2, ell, optimal_param=p_star)
-
-
-def sufficient_condition_holds(pot: Potential, ell: int, g: float, p: float,
-                               cfg: QuadratureConfig = DEFAULT_CONFIG) -> bool:
-    """Whether strength g provably binds an l-wave state at trial power p.
-
-    The condition compares the nested trial form of |V| = g v against its
-    normalization; the numerator scales as g^(p+1) and the denominator as
-    g^p, so the left side reduces to g divided by the fixed-p upper limit.
-    True is conclusive; False only means this trial was inconclusive.
-    """
-    if not g > 0:
-        raise DomainError("strength g must be positive")
-    threshold = upper_variational_at(pot, ell, p, cfg).value
-    return g >= threshold
 
 
 # ---------------------------------------------------------------------------

@@ -47,31 +47,6 @@ _SCAN_REFINEMENTS = 6
 _EDGE_NUDGE = 1e-13
 
 
-def greens_function(ell: int, r, rp):
-    """Zero-energy radial kernel min(r,r')^(l+1) * max(r,r')^(-l) / (2l+1)."""
-    ell = AngularMomentum(ell).ell
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    lo = np.minimum(r, rp)
-    hi = np.maximum(r, rp)
-    # lo/hi <= 1 keeps the power bounded where lo^(l+1) would underflow
-    # and hi^(-l) overflow; G vanishes with lo, at the origin too
-    ratio = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0)
-    out = lo * ratio ** ell / (2 * ell + 1)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-@dataclass(frozen=True)
-class ShootingState:
-    """Radial solution sample (u, u') at radius r; u is regular at the origin."""
-
-    r: float
-    u: float
-    du: float
-
-
 def _segment_radii(pot: Potential, max_radius: float) -> list[float]:
     """Integration segments: [r0, interior breakpoints..., R_match].
 
@@ -109,23 +84,6 @@ def shoot_zero_energy(pot: Potential, ell: int, g: float,
     # growing mode leaves A up to a positive factor, normalized here by the
     # solution scale so thresholds mean |A| ~ 0 on an O(1) scale
     return (dw + L * w) / max(abs(w), abs(dw), 1e-300)
-
-
-def zero_energy_state(pot: Potential, ell: int, g: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      log_step: float = DEFAULT_LOG_STEP) -> ShootingState:
-    """Regular zero-energy solution (u, u') at the matching radius.
-
-    The solution is normalized to unit scale (the radial equation is
-    linear), with u ~ r^(l+1) near the origin.
-    """
-    w, dw, s_end, _ = _integrate_log_radial(pot.unit, ell, g, cfg, log_step)
-    scale = max(abs(w), abs(dw), 1e-300)
-    w, dw = w / scale, dw / scale
-    s_end += math.log(pot.scale)   # back to the radii of pot
-    half = math.exp(0.5 * s_end)
-    return ShootingState(r=math.exp(s_end), u=half * w,
-                         du=(dw + 0.5 * w) / half)
 
 
 class _StepPolynomial(NamedTuple):
@@ -427,8 +385,9 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
     fourth-order Gregory corrections, and the diagonal carries the local
     correction for the derivative jump of the kernel across r = r'; both are
     needed for the eigenvalue to converge fast enough to cross-check the
-    shooting solver at moderate n.  Only the three length-n factor vectors
-    of `KernelDiscretization` are stored.
+    shooting solver at moderate n.  Only the five length-n vectors of
+    `KernelDiscretization` are stored: nodes, weights, lower, upper and
+    diagonal.
     """
     pot, ell, length = pot.unit, AngularMomentum(ell).ell, pot.scale
     if n < 8:

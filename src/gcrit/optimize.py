@@ -38,6 +38,7 @@ class ScalarMinResult:
     x: float
     evaluations: int
     edge_hit: bool
+    bracket: tuple[float, float]   # the golden-section refinement's final bracket
 
 
 def minimize_scalar_log(f, lo: float, hi: float, *,
@@ -105,7 +106,8 @@ def minimize_scalar_log(f, lo: float, hi: float, *,
             d = s_lo + _INVPHI * (s_hi - s_lo)
             fd = eval_log(d)
     s_best = c if fc <= fd else d
-    return ScalarMinResult(math.exp(s_best), nev, edge_hit)
+    return ScalarMinResult(math.exp(s_best), nev, edge_hit,
+                           (math.exp(s_lo), math.exp(s_hi)))
 
 
 def bracket(f, x: float, shrink: float, grow: float, lo_end: float, hi_end: float):

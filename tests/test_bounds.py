@@ -18,8 +18,7 @@ from gcrit.bounds import (G_SEARCH_RANGE, MONOTONE_TOL, SOLVER_AGREEMENT,
                           _calogero_II_integrand,
                           _rel_cfg, lower_bargmann_schwinger, lower_ggmt,
                           lower_ggmt_at, lower_second_order, lower_third_order,
-                          sandwich, sufficient_condition_holds,
-                          upper_calogero_I, upper_calogero_I_at,
+                          sandwich, upper_calogero_I, upper_calogero_I_at,
                           upper_calogero_II, upper_calogero_II_at,
                           upper_variational, upper_variational_at,
                           upper_variational_square_well)
@@ -225,16 +224,9 @@ def test_variational_domain():
 
 
 def test_sufficient_condition():
-    assert sufficient_condition_holds(SW, 0, 2.48, 1.2247448713915890)
-    assert not sufficient_condition_holds(SW, 0, 2.40, 1.2247448713915890)
-    assert not sufficient_condition_holds(SW, 0, 1e-6, 1.0)
-
-
-@given(st.floats(0.6, 3.0), st.floats(1.2, 4.0))
-def test_sufficient_condition_monotone_in_strength(g, factor):
-    p = 1.5
-    if sufficient_condition_holds(EXP, 0, g, p):
-        assert sufficient_condition_holds(EXP, 0, g * factor, p)
+    # the sufficient condition g >= bound at p* holds for the square well at
+    # g = 2.48 and not at 2.40
+    assert 2.40 < upper_variational_at(SW, 0, 1.2247448713915890).value <= 2.48
 
 
 @pytest.mark.parametrize("g,p", [(1.2, 1.5), (1.6, 1.5), (2.5, 2.0)])
@@ -262,7 +254,6 @@ def test_sufficient_condition_matches_direct_evaluation(g, p):
     lhs = numerator / denominator
     assert math.isclose(lhs, g / upper_variational_at(pot, ell, p).value,
                         rel_tol=1e-8)
-    assert (lhs >= 1.0) == sufficient_condition_holds(pot, ell, g, p)
 
 
 def test_sandwich_square_well():
@@ -780,6 +771,57 @@ def test_a_search_with_every_trial_below_the_floor_names_the_floor(monkeypatch):
     assert str(info.value) == ("every trial of the search was rejected, the last "
                                "because bound 0.5 not above the floor 0.5")
     assert scores and all(score == math.inf for _, score in scores)
+
+
+# an upper limit 2 + log(x / optimum)^2 whose trials in a region are rejected;
+# _SAMPLE is the tenth of the 13 scan samples of [0.1, 10], so a region
+# starting there leaves it the only rejected trial of the final bracket
+_SAMPLE = math.exp(math.log(0.1) + (math.log(10.0) - math.log(0.1)) * 9 / 12)
+_REJECTING_SEARCHES = {
+    "nothing rejected": (3.0, lambda x: False, False),
+    "rejected above the optimum": (1.5, lambda x: x >= 3.0, False),
+    "rejected below the optimum": (2.0, lambda x: x <= 0.5, False),
+    "optimum in a rejected region above": (6.0, lambda x: x >= 3.0, True),
+    "optimum in a rejected region below": (0.2, lambda x: x <= 0.5, True),
+    "optimum in a region rejected from a sample up": (6.0, lambda x: x >= _SAMPLE, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTING_SEARCHES))
+def test_an_optimum_beside_a_rejected_trial_raises(monkeypatch, case):
+    optimum, rejects, raises = _REJECTING_SEARCHES[case]
+    scores = _spy_objective(monkeypatch)
+    spied, searches = bounds_module.minimize_scalar_log, []
+
+    def search(*args, **kwargs):
+        searches.append(spied(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(bounds_module, "minimize_scalar_log", search)
+
+    def at(x, cfg):
+        if rejects(x):
+            raise SearchRangeError(f"nothing at {x!r}")
+        return BoundResult(Method.CALOGERO_I, Side.UPPER,
+                           2.0 + math.log(x / optimum) ** 2, 0, optimal_param=x)
+
+    try:
+        got = bounds_module._optimize_bound(at, DEFAULT_CONFIG, 0.1, 10.0, 1e-9)
+    except AccuracyError as exc:
+        got = str(exc)
+    # the rule written out: the last rejected trial inside the final bracket
+    (best,) = searches
+    lo, hi = best.bracket
+    assert lo <= best.x <= hi and math.log(hi / lo) <= 1e-6
+    beside = [x for x, score in scores if score == math.inf and lo <= x <= hi]
+    assert bool(beside) == raises
+    assert any(score == math.inf for _, score in scores) == (case != "nothing rejected")
+    if beside:
+        assert got == (f"the optimum at {best.x!r} borders the trial at {beside[-1]!r}, "
+                       f"which was rejected because nothing at {beside[-1]!r}")
+    else:
+        assert got == at(best.x, None)
+        assert math.isclose(best.x, optimum, rel_tol=1e-6)
 
 
 def test_sandwich_raises_when_a_lower_limit_passes_the_exact_value(monkeypatch):

@@ -8,8 +8,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import jv
 
@@ -20,31 +18,11 @@ from gcrit.errors import (AccuracyError, DomainError, IntegrationError,
 from gcrit.exact import (DEFAULT_LOG_STEP, _EDGE_NUDGE, _integrate_log_radial,
                          _segment_radii, bessel_first_zero,
                          critical_coupling_nystrom, critical_coupling_shooting,
-                         exponential_exact_swave, greens_function,
-                         kernel_discretization, largest_eigenvalue,
-                         shoot_zero_energy, square_well_exact,
-                         stis_exact_swave, zero_energy_state)
+                         exponential_exact_swave, kernel_discretization,
+                         largest_eigenvalue, shoot_zero_energy,
+                         square_well_exact, stis_exact_swave)
 from gcrit.potentials import AngularMomentum, Potential
 from gcrit.quadrature import DEFAULT_CONFIG
-
-
-def test_greens_function_values():
-    assert greens_function(0, 1.0, 2.0) == 1.0
-    assert math.isclose(greens_function(1, 2.0, 1.0), 1.0 / 6.0, rel_tol=1e-15)
-
-
-@pytest.mark.parametrize("ell, r, want", [(60, 1e-6, 1e-6 / 121),
-                                           (5, 1e-70, 1e-70 / 11),
-                                           (0, 0.0, 0.0), (3, 0.0, 0.0)])
-def test_greens_function_is_finite_where_its_powers_are_not(ell, r, want):
-    # r^(l+1) underflows (or vanishes) and r^(-l) overflows, but their
-    # product is r
-    assert greens_function(ell, r, r) == want
-
-
-@given(st.floats(0.05, 30.0), st.floats(0.05, 30.0), st.integers(0, 5))
-def test_greens_function_symmetry(a, b, ell):
-    assert greens_function(ell, a, b) == greens_function(ell, b, a)
 
 
 def test_bessel_first_zero_half_orders():
@@ -139,18 +117,6 @@ def test_shoot_sign_structure():
     assert shoot_zero_energy(pot, 0, 23.0) > 0.0
     with pytest.raises(DomainError):
         shoot_zero_energy(pot, 0, -1.0)
-
-
-def test_zero_energy_state_regular_solution():
-    pot = Potential.square_well()
-    state = zero_energy_state(pot, 0, 1.0)
-    assert state.r == 1.0
-    assert math.isfinite(state.u) and math.isfinite(state.du)
-    # subcritical strength: u grows monotonically, no node
-    assert state.u > 0.0 and state.du > 0.0
-    # at threshold the outside solution u = B r^(-l) is flat for l = 0
-    near = zero_energy_state(pot, 0, math.pi ** 2 / 4.0)
-    assert abs(near.du) < 1e-8 * abs(near.u)
 
 
 def test_shooting_square_well_matches_analytic():
@@ -372,12 +338,6 @@ def test_float_rk4_loop_matches_numpy_scalar_loop(monkeypatch, name, ell):
         assert got[3] == nodes
         w_n, dw_n = _normalized(w, dw)
         assert abs(shoot_zero_energy(pot, ell, g) - (dw_n + L * w_n)) <= PRODUCT_ATOL
-        # u = e^(s/2) w and u' = e^(-s/2) (w' + w/2), with w, w' normalized
-        state = zero_energy_state(pot, ell, g)
-        half = math.exp(0.5 * s_end)
-        assert state.r == math.exp(s_end)
-        assert abs(state.u / half - w_n) <= PRODUCT_ATOL
-        assert abs(state.du * half - 0.5 * state.u / half - dw_n) <= PRODUCT_ATOL
     # the loop's root from the solve's own bracket: at l = 60 the exponential
     # and the tabulated shape move it by 8e-13, within the polish's rtol
     (a, b, kw), = brackets

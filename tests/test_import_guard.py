@@ -1,6 +1,8 @@
 """The package, its solvers, its closed forms and its commands run without
-scipy, which only the tests use."""
+scipy, which only the tests use; and the package's public names are the ones
+it lists in `__all__`."""
 
+import ast
 import json
 import os
 import subprocess
@@ -62,3 +64,20 @@ def test_commands_and_closed_forms_run_where_scipy_cannot_load():
             "    assert cli.main(argv) == 0, argv\n"
             "square_well_exact(0); exponential_exact_swave()")
     assert _scipy_modules_after(code) == []
+
+
+def test_all_lists_exactly_the_public_names_the_package_binds():
+    import gcrit
+
+    bound = set()
+    for node in ast.parse(Path(gcrit.__file__).read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert len(set(gcrit.__all__)) == len(gcrit.__all__)
+    assert set(gcrit.__all__) == {name for name in bound if not name.startswith("_")}
+    for name in gcrit.__all__:
+        assert hasattr(gcrit, name), name

@@ -257,6 +257,33 @@ def test_cli_grid_that_underflows_is_a_numerical_error(tmp_path, capsys, name, a
     assert "Traceback" not in err
 
 
+# valid shapes whose search ends on the edge of its rejected trials: in units
+# of 1e8, Calogero II's threshold is below G_SEARCH_RANGE at every radius
+# from 0.00666667 up, and at 1e300 GGMT's power moment overflows above
+# p = 1.02663
+_REJECTION_EDGE_GRIDS = {
+    "x1e8": ("0.5e8,1\n1e8,1\n2e8,0\n", r"0\.00666666\d*, which was rejected because "
+             r"sufficient condition already holds at g = 1e-06"),
+    "1e300": ("0.5,1e300\n1,1e300\n2,0\n", r"1\.02663\d*, which was rejected because "
+              r"power moment at p=1\.02663\d* evaluated to inf"),
+}
+
+
+@pytest.mark.parametrize("name, methods", [("x1e8", "calogero_ii"), ("x1e8", "all"),
+                                           ("1e300", "ggmt")])
+def test_cli_optimum_beside_a_rejected_trial_is_a_numerical_error(tmp_path, capsys,
+                                                                  name, methods):
+    text, rejection = _REJECTION_EDGE_GRIDS[name]
+    grid = tmp_path / "grid.csv"
+    grid.write_text(text)
+    assert main(["compute", "--potential", "tabulated", "--grid-csv", str(grid),
+                 "--methods", methods]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"numerical error: the optimum at [0-9.e+-]+ borders the "
+                        rf"trial at {rejection}\n", captured.err)
+
+
 # every error type of the package, by the exit code `main` ends in
 _EXIT_CODES = {errors.ConfigurationError: 2, errors.DomainError: 2,
                errors.AccuracyError: 3, errors.IntegrationError: 3,
@@ -687,15 +714,18 @@ def test_table_artifacts_match_the_reference_writers(monkeypatch, capsys, digits
 
 def test_cli_quadrature_errors_print_plain_floats(tmp_path, capsys):
     # two panels leave the error at the rounding floor 50 eps |f|, which the
-    # message prints as a plain float
+    # message prints as a plain float; the search's optimum borders a trial
+    # that exhausted them
     cfg = tmp_path / "starved.ini"
     cfg.write_text("[potential]\nkind = square_well\n\n[run]\nell = 0\n\n"
                    "[quadrature]\nmax_subdivisions = 2\n")
     assert main(["compute", "--config", str(cfg), "--methods", "ggmt"]) == 3
     err = capsys.readouterr().err
     assert "np.float64(" not in err
-    assert err == ("numerical error: quadrature budget of 2 panels exhausted "
-                   "(estimate 0.4999843665932303, error 4.979684477971163e-10)\n")
+    assert err == ("numerical error: the optimum at 1.0000312677455079 borders the "
+                   "trial at 1.0000314429739354, which was rejected because "
+                   "quadrature budget of 2 panels exhausted "
+                   "(estimate 0.4999842789843827, error 5.021590372758836e-10)\n")
 
 
 def test_cli_check_fails_on_a_bound_ordering_violation(monkeypatch, capsys):
