@@ -302,8 +302,8 @@ def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
 
 
 def upper_calogero_II_at(pot: Potential, ell: int, a: float,
-                         g_trial: float = 1.0,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> BoundResult:
+                         cfg: QuadratureConfig = DEFAULT_CONFIG, *,
+                         g_trial: float = 1.0) -> BoundResult:
     """Threshold strength of the nonlinear sufficient condition at fixed a.
 
     The strength enters the condition nonlinearly but the left side grows
@@ -403,7 +403,7 @@ def upper_calogero_II(pot: Potential, ell: int,
     def at(a, c):
         # each root search starts from the last threshold found
         nonlocal warm
-        res = upper_calogero_II_at(unit, ell, a, warm, c)
+        res = upper_calogero_II_at(unit, ell, a, c, g_trial=warm)
         warm = res.value
         return res
 
@@ -533,7 +533,7 @@ METHODS = {spec.method: spec for spec in (
                lambda pot, ell, cfg: critical_coupling_shooting(pot, ell, cfg),
                rel_error=1e-11),   # threshold root width + integrator error
     MethodSpec(Method.NYSTROM, Side.EXACT, "g_c_nystrom",
-               lambda pot, ell, cfg: critical_coupling_nystrom(pot, ell, cfg=cfg),
+               lambda pot, ell, cfg: critical_coupling_nystrom(pot, ell),
                rel_error=1e-5),    # discretization scale at the default n
 )}
 

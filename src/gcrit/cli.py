@@ -9,8 +9,10 @@ Three verbs:
 Configuration is a flat INI file (a [potential] section plus optional [run]
 and [quadrature] sections).  Every [potential] and [run] key can also be
 given as a flag, which overrides the file (`check` reads only [run]'s ell);
-the [quadrature] keys have no flag.  Exit codes: 0 success, 1 invariant or
-reproduction failure, 2 configuration error, 3 numerical failure.
+the [quadrature] keys (rel_tol, abs_tol, max_subdivisions) have no flag.  A
+section or key outside these is a configuration error.  Exit codes: 0
+success, 1 invariant or reproduction failure, 2 configuration error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -193,19 +195,26 @@ _CONFIG_KEYS = {
     "run": (("ell", "ells", _parse_ints), ("methods", "methods", _parse_names),
             ("format", "fmt", str), ("digits", "digits", int)),
     "quadrature": (("rel_tol", "rel_tol", float), ("abs_tol", "abs_tol", float),
-                   ("max_subdivisions", "max_subdivisions", int),
-                   ("max_radius", "max_radius", float)),
+                   ("max_subdivisions", "max_subdivisions", int)),
 }
 
 
 def read_config_file(path: str, skip: tuple[str, ...] = ()) -> dict:
-    """The recognized keys of the file by option name, parsed; the options
-    in `skip` are neither parsed nor returned."""
+    """The keys of the file by option name, parsed; the options in `skip`
+    are neither parsed nor returned.  A key outside `_CONFIG_KEYS` is an
+    error."""
     parser = configparser.ConfigParser()
     sections = {}
     try:
         if not parser.read(path):
             raise ConfigurationError(f"cannot read config file {path!r}")
+        # [DEFAULT] is no gcrit section; its keys would reach every other
+        for name in (parser.default_section, *parser.sections()):
+            known = {parser.optionxform(key) for key, _, _ in _CONFIG_KEYS.get(name, ())}
+            for key in parser[name]:
+                if key not in known:
+                    raise ConfigurationError(
+                        f"config file {path!r}: [{name}] {key} is not a gcrit key")
         for name, keys in _CONFIG_KEYS.items():
             if parser.has_section(name):
                 sec = parser[name]

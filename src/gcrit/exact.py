@@ -47,13 +47,13 @@ _SCAN_REFINEMENTS = 6
 _EDGE_NUDGE = 1e-13
 
 
-def _segment_radii(pot: Potential, max_radius: float) -> list[float]:
+def _segment_radii(pot: Potential) -> list[float]:
     """Integration segments: [r0, interior breakpoints..., R_match].
 
     Called once per solve, by the step polynomial that every trial strength
     of the solve shares (`_step_polynomial`)."""
     r0 = pot.start_radius
-    r_sup = pot.support_radius(_TAIL_TOL, max_radius)
+    r_sup = pot.support_radius(_TAIL_TOL)
     r_match = r_sup * (1.0 if pot.is_compact else 1.5)
     pts = [r0]
     for b in pot.breakpoints():
@@ -64,7 +64,6 @@ def _segment_radii(pot: Potential, max_radius: float) -> list[float]:
 
 
 def shoot_zero_energy(pot: Potential, ell: int, g: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG,
                       log_step: float = DEFAULT_LOG_STEP) -> float:
     """Growing-mode coefficient of the zero-energy radial solution.
 
@@ -78,7 +77,7 @@ def shoot_zero_energy(pot: Potential, ell: int, g: float,
     and L = l + 1/2; the log grid resolves both the centrifugal region and
     wide supports with uniform cost.
     """
-    w, dw, _, _ = _integrate_log_radial(pot.unit, ell, g, cfg, log_step)
+    w, dw, _, _ = _integrate_log_radial(pot.unit, ell, g, log_step)
     L = AngularMomentum(ell).L
     # u = e^{s/2} w gives r u' + l u = e^{s/2}(w' + L w); dividing by the
     # growing mode leaves A up to a positive factor, normalized here by the
@@ -107,7 +106,7 @@ class _StepPolynomial(NamedTuple):
         return m
 
 
-def _build_step_polynomial(pot: Potential, max_radius: float, log_step: float,
+def _build_step_polynomial(pot: Potential, log_step: float,
                            ell: int) -> _StepPolynomial:
     """The step maps of w'' = q w with q = L^2 - g r^2 v, expanded in g.
 
@@ -121,7 +120,7 @@ def _build_step_polynomial(pot: Potential, max_radius: float, log_step: float,
     quadratic in g since each q is affine in it.  r^2 v enters divided by
     its largest value kappa, so the products of two of its values neither
     overflow nor underflow whatever the magnitude of the shape."""
-    pts = _segment_radii(pot, max_radius)
+    pts = _segment_radii(pot)
     s_pts = [math.log(p) for p in pts]
     r_steps, h_steps = [], []
     for i in range(len(pts) - 1):
@@ -169,19 +168,17 @@ def _build_step_polynomial(pot: Potential, max_radius: float, log_step: float,
 
 
 #: the step polynomials of the shooting solve in progress, by (shape,
-#: max_radius, log_step, l); None outside a solve, where every shot builds
-#: its own
+#: log_step, l); None outside a solve, where every shot builds its own
 _solve_grids: ContextVar[dict | None] = ContextVar("_solve_grids", default=None)
 
 
-def _step_polynomial(pot: Potential, max_radius: float, log_step: float,
-                     ell: int) -> _StepPolynomial:
+def _step_polynomial(pot: Potential, log_step: float, ell: int) -> _StepPolynomial:
     polys = _solve_grids.get()
     if polys is None:
-        return _build_step_polynomial(pot, max_radius, log_step, ell)
-    key = (pot, max_radius, log_step, ell)
+        return _build_step_polynomial(pot, log_step, ell)
+    key = (pot, log_step, ell)
     if key not in polys:
-        polys[key] = _build_step_polynomial(pot, max_radius, log_step, ell)
+        polys[key] = _build_step_polynomial(pot, log_step, ell)
     return polys[key]
 
 
@@ -232,8 +229,7 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _integrate_log_radial(pot: Potential, ell: int, g: float,
-                          cfg: QuadratureConfig, log_step: float,
+def _integrate_log_radial(pot: Potential, ell: int, g: float, log_step: float,
                           count_nodes: bool = False
                           ) -> tuple[float, float, float, int]:
     """(w, w') at the matching radius up to a positive factor, its
@@ -252,7 +248,7 @@ def _integrate_log_radial(pot: Potential, ell: int, g: float,
     if not g > 0:
         raise DomainError("strength g must be positive")
     L = AngularMomentum(ell).L
-    poly = _step_polynomial(pot, cfg.max_radius, log_step, ell)
+    poly = _step_polynomial(pot, log_step, ell)
     with np.errstate(over="ignore", invalid="ignore"):
         m = poly.matrices(g)
         finite = np.isfinite(m).all()
@@ -278,12 +274,13 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     """Smallest strength with a zero-energy bound state, via sign change.
 
     Starts just below the weakest lower bound (strength per unit shape
-    integral), halves the strength while the growing-mode coefficient is
-    not positive, scans geometrically upward to its first sign change, then
-    polishes the root to relative 1e-12 with `optimize.brentq`, scipy's
-    Brent iteration bit for bit.  The node count of the solution at the
-    upper end confirms that the bracket holds the first threshold; if not,
-    the scan is repeated with a finer step, on the coefficients known.
+    integral, the one integral cfg sets), halves the strength while the
+    growing-mode coefficient is not positive, scans geometrically upward to
+    its first sign change, then polishes the root to relative 1e-12 with
+    `optimize.brentq`, scipy's Brent iteration bit for bit.  The node count
+    of the solution at the upper end confirms that the bracket holds the
+    first threshold; if not, the scan is repeated with a finer step, on the
+    coefficients known.
     """
     pot, ell = pot.unit, AngularMomentum(ell).ell
     if g_start is None:
@@ -296,7 +293,7 @@ def critical_coupling_shooting(pot: Potential, ell: int,
 
     def coeff(g):
         if g not in known:
-            known[g] = shoot_zero_energy(pot, ell, g, cfg, log_step)
+            known[g] = shoot_zero_energy(pot, ell, g, log_step)
         return known[g]
 
     cap = g_start * 1e4
@@ -316,8 +313,7 @@ def critical_coupling_shooting(pot: Potential, ell: int,
             # Sturm: between the first two thresholds w has at most one node
             # below the matching radius, past the third at least two; a step
             # wider than the gap between thresholds can skip the first two
-            if _integrate_log_radial(pot, ell, b, cfg, log_step,
-                                     count_nodes=True)[3] <= 1:
+            if _integrate_log_radial(pot, ell, b, log_step, count_nodes=True)[3] <= 1:
                 # brentq starts by evaluating both ends, which the scan has
                 # done; its tolerance is about xtol + rtol |g|, and only the
                 # smallest float as xtol leaves rtol in charge down to 1e-300
@@ -374,8 +370,7 @@ class KernelDiscretization:
             return self.upper * below + self.lower * above + self.diagonal * u
 
 
-def kernel_discretization(pot: Potential, ell: int, n: int,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> KernelDiscretization:
+def kernel_discretization(pot: Potential, ell: int, n: int) -> KernelDiscretization:
     """The n-node symmetric operator M_ij = sqrt(w_i w_j) K(x_i, x_j).
 
     Nodes are the square-graded trapezoid grid x_j = R_eff (j/n)^2, j >= 1,
@@ -392,7 +387,7 @@ def kernel_discretization(pot: Potential, ell: int, n: int,
     pot, ell, length = pot.unit, AngularMomentum(ell).ell, pot.scale
     if n < 8:
         raise DomainError("kernel discretization requires n >= 8")
-    r_eff = pot.support_radius(1e-13, cfg.max_radius)
+    r_eff = pot.support_radius(1e-13)
     h = 1.0 / n
     z = h * np.arange(1, n + 1)
     x = r_eff * z * z
@@ -448,10 +443,9 @@ def largest_eigenvalue(matrix) -> float:
     raise AccuracyError("power iteration stagnated before reaching tolerance")
 
 
-def critical_coupling_nystrom(pot: Potential, ell: int, n: int = 400,
-                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def critical_coupling_nystrom(pot: Potential, ell: int, n: int = 400) -> float:
     """Critical strength as the reciprocal dominant kernel eigenvalue."""
-    disc = kernel_discretization(pot, ell, n, cfg)
+    disc = kernel_discretization(pot, ell, n)
     return 1.0 / largest_eigenvalue(disc)
 
 

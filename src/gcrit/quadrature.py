@@ -101,20 +101,19 @@ MAX_CALL_NODES = 2 ** 13
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget limits for the adaptive engine."""
+    """Tolerances and panel budget of the adaptive engine: the [quadrature]
+    section of a config file.  The solvers' grids take none of it; the
+    shooting solver uses it only for the first moment it starts from."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    max_radius: float = 1e4
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ConfigurationError("rel_tol and abs_tol must be positive and finite")
         if self.max_subdivisions < 1:
             raise ConfigurationError("max_subdivisions must be >= 1")
-        if not self.max_radius > 0:
-            raise ConfigurationError("max_radius must be positive")
 
     def loosened(self, rel_tol, max_subdivisions):
         """A copy with relaxed settings, used during parameter searches."""

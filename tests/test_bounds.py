@@ -26,8 +26,8 @@ from gcrit.cli import main
 from gcrit.errors import (AccuracyError, DomainError, IntegrationError,
                           InvariantViolation, SearchRangeError)
 from gcrit.potentials import Potential
-from gcrit.quadrature import (DEFAULT_CONFIG, FixedRule, integrate,
-                              integrate_semi_infinite)
+from gcrit.quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig,
+                              integrate, integrate_semi_infinite)
 
 SW = Potential.square_well()
 EXP = Potential.exponential()
@@ -91,6 +91,41 @@ def test_power_family_domain():
         lower_ggmt_at(SW, 0, 0.5)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BoundResult(Method.GGMT, Side.LOWER, 0.0, 0), AccuracyError,
+     "ggmt produced a non-positive bound 0.0"),
+    (lambda: upper_calogero_I_at(EXP, 0, 0.0), DomainError,
+     "matching radius a must be positive"),
+    (lambda: upper_calogero_II_at(EXP, 0, -1.0), DomainError,
+     "matching radius a must be positive"),
+], ids=["zero_bound", "calogero_I_radius", "calogero_II_radius"])
+def test_bound_inputs_outside_their_domain_raise_their_documented_error(call, error,
+                                                                        message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# every fixed-parameter limit, with (pot, ell, param, cfg) as its positional form
+AT_BOUNDS = {"ggmt": lower_ggmt_at, "calogero_i": upper_calogero_I_at,
+             "calogero_ii": upper_calogero_II_at, "variational": upper_variational_at}
+
+
+@pytest.mark.parametrize("name", sorted(AT_BOUNDS))
+def test_every_fixed_parameter_limit_takes_cfg_fourth(name):
+    at = AT_BOUNDS[name]
+    cfg = DEFAULT_CONFIG.loosened(rel_tol=1e-6, max_subdivisions=600)
+    assert cfg != DEFAULT_CONFIG
+    assert at(EXP, 1, 1.5, cfg) == at(EXP, 1, 1.5, cfg=cfg)
+
+
+def test_rel_cfg_keeps_a_config_at_or_below_its_floor():
+    for abs_tol in (1e-280, 1e-300):
+        cfg = QuadratureConfig(abs_tol=abs_tol)
+        assert _rel_cfg(cfg) is cfg
+    assert _rel_cfg(DEFAULT_CONFIG).abs_tol == 1e-280
+
+
 def reference_calogero_I_at(pot, ell, a, cfg=DEFAULT_CONFIG):
     """`upper_calogero_I_at` on a decaying shape as it was written out before
     `integrate` took an open upper end: the outer integral is a second call,
@@ -150,7 +185,7 @@ def test_matching_radius_II_rejects_a_trial_strength_not_above_zero():
             "from gcrit.errors import DomainError\n"
             "for g in (math.nan, 0.0, -1.0):\n"
             "    try:\n"
-            "        upper_calogero_II_at(Potential.exponential(), 0, 1.0, g)\n"
+            "        upper_calogero_II_at(Potential.exponential(), 0, 1.0, g_trial=g)\n"
             "    except DomainError as exc:\n"
             "        print(exc)\n")
     src = Path(__file__).resolve().parent.parent / "src"
@@ -277,6 +312,12 @@ def _report(bs=1.0, second=1.0, third=1.0, ggmt=1.0, shooting=1.5, nystrom=1.5):
         (Method.THIRD_ORDER, third), (Method.GGMT, ggmt)))
     ups = (BoundResult(Method.CALOGERO_I, Side.UPPER, 2.0, 0),)
     return SandwichReport(SW, 0, lows, ups, shooting, nystrom, 0.0)
+
+
+def test_report_by_method_of_an_absent_method_raises_key_error():
+    with pytest.raises(KeyError) as exc:
+        _report().by_method(Method.VARIATIONAL)
+    assert exc.value.args == (Method.VARIATIONAL,)
 
 
 def test_report_lower_sequence_is_monotone_to_its_tolerance():
@@ -415,7 +456,7 @@ def test_calogero_II_frozen_rule_matches_adaptive(shape, ell, a_factor):
         assert start == _outcome(lambda: reference_calogero_II(pot, ell, a, 1.0))
         return
     for g_trial in (start / 32.0, 32.0 * start):
-        got = upper_calogero_II_at(pot, ell, a, g_trial).value
+        got = upper_calogero_II_at(pot, ell, a, g_trial=g_trial).value
         want = reference_calogero_II(pot, ell, a, g_trial)
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (g_trial, got, want)
 
@@ -514,7 +555,7 @@ def observed_walk(pot, ell, a, g_trial, cfg, trap=(), asked=None):
         m.setattr(bounds_module, "_bracket_threshold", counted)
         m.setattr(bounds_module, "lockstep", observed)
         m.setattr(bounds_module, "_calogero_II_terms", trapped)
-        search_outcome(lambda: upper_calogero_II_at(pot, ell, a, g_trial, cfg))
+        search_outcome(lambda: upper_calogero_II_at(pot, ell, a, cfg, g_trial=g_trial))
     return searches, passes
 
 
@@ -600,6 +641,23 @@ def test_calogero_II_walk_ignores_errors_it_never_visits(monkeypatch, case):
     assert trap & set().union(*passes)   # some of their integrals did fail
     assert len(searches) == 2
     assert searches[-1] == want
+
+
+@pytest.mark.parametrize("case", ["natural/exponential/3", "biased/yukawa/0"])
+def test_calogero_II_walk_raises_an_error_it_visits(monkeypatch, case):
+    # the complement: a strength the sequential search asks for meets a NaN
+    # in its adaptive integral, so the walk raises that error
+    pot, ell, a, g_trial, integral, _ = FALLBACKS[case]
+    visited = []
+    search_outcome(lambda: reference_bracket(pot, ell, a, g_trial, SEARCH_CFG, visited))
+    if integral is not None:
+        monkeypatch.setattr(FixedRule, "integral", integral())
+    # the rule's own pass is the value at g_trial, which no lockstep repeats
+    trap = set(visited) - {g_trial}
+    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, trap)
+    assert trap & set().union(*passes)
+    assert len(searches) == 2
+    assert searches[-1][0] is IntegrationError
 
 
 def test_variational_overflowing_shape_raises_without_warning():

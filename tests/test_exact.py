@@ -191,8 +191,8 @@ def test_shooting_memory_is_under_28_floats_per_step():
     # 12 coefficients per step, and for a shot two product buffers; the
     # coefficients once took 12 stacked temporaries (40 floats per step)
     pot, ell = Potential.yukawa(), 4
-    steps = exact._build_step_polynomial(pot.unit, DEFAULT_CONFIG.max_radius,
-                                         DEFAULT_LOG_STEP, ell).coeffs.shape[-1]
+    steps = exact._build_step_polynomial(pot.unit, DEFAULT_LOG_STEP,
+                                         ell).coeffs.shape[-1]
     critical_coupling_shooting(pot, ell)
     tracemalloc.start()
     try:
@@ -223,8 +223,7 @@ SHAPES = {
 FROZEN_ELLS = (0, 3, 5, 60)
 
 
-def reference_integrate_log_radial(pot, ell, g, cfg=DEFAULT_CONFIG,
-                                   log_step=DEFAULT_LOG_STEP):
+def reference_integrate_log_radial(pot, ell, g, log_step=DEFAULT_LOG_STEP):
     """The RK4 loop on numpy scalars, indexed per step, as first written.
 
     Returns (w, w', s_end, number of renormalizations, sign changes of w
@@ -233,7 +232,7 @@ def reference_integrate_log_radial(pot, ell, g, cfg=DEFAULT_CONFIG,
     if not g > 0:
         raise DomainError("strength g must be positive")
     L = AngularMomentum(ell).L
-    pts = _segment_radii(pot, cfg.max_radius)
+    pts = _segment_radii(pot)
     s_pts = [math.log(p) for p in pts]
     w, dw = 1.0, L
     renormalized = nodes = 0
@@ -267,9 +266,9 @@ def reference_integrate_log_radial(pot, ell, g, cfg=DEFAULT_CONFIG,
     return w, dw, s_pts[-1], renormalized, nodes
 
 
-def reference_kernel_matrix(pot, ell, n, cfg=DEFAULT_CONFIG):
+def reference_kernel_matrix(pot, ell, n):
     """The Nystrom matrix from min/max outer products, as first written."""
-    r_eff = pot.support_radius(1e-13, cfg.max_radius)
+    r_eff = pot.support_radius(1e-13)
     h = 1.0 / n
     z = h * np.arange(1, n + 1)
     x = r_eff * z * z
@@ -332,8 +331,7 @@ def test_float_rk4_loop_matches_numpy_scalar_loop(monkeypatch, name, ell):
         w, dw, s_end, renormalized, nodes = reference_integrate_log_radial(pot, ell, g)
         if ell == FROZEN_ELLS[-1]:
             assert renormalized > 0
-        got = _integrate_log_radial(pot, ell, g, DEFAULT_CONFIG,
-                                    DEFAULT_LOG_STEP, count_nodes=True)
+        got = _integrate_log_radial(pot, ell, g, DEFAULT_LOG_STEP, count_nodes=True)
         assert got[2] == s_end
         assert got[3] == nodes
         w_n, dw_n = _normalized(w, dw)
@@ -374,10 +372,10 @@ def reference_step_matrices(q, h):
     return np.array([[a, b], [c, d]])
 
 
-def reference_log_grid(pot, cfg=DEFAULT_CONFIG, log_step=DEFAULT_LOG_STEP):
+def reference_log_grid(pot, log_step=DEFAULT_LOG_STEP):
     """The radii at the start, midpoint and end of every RK4 step (rows 0,
     1, 2) and the steps in log-radius, segment by segment."""
-    pts = _segment_radii(pot, cfg.max_radius)
+    pts = _segment_radii(pot)
     s_pts = [math.log(p) for p in pts]
     radii, steps = [], []
     for i in range(len(pts) - 1):
@@ -454,8 +452,7 @@ def test_step_polynomial_matches_stage_formulas(name, scale, ell):
     L = ell + 0.5
     r, h = reference_log_grid(pot)
     r2, v = r ** 2, pot.evaluate(r)
-    poly = exact._build_step_polynomial(pot, DEFAULT_CONFIG.max_radius,
-                                        DEFAULT_LOG_STEP, ell)
+    poly = exact._build_step_polynomial(pot, DEFAULT_LOG_STEP, ell)
     assert poly.coeffs.shape == (3, 2, 2, h.size)
     # both sides round q = L^2 - g r^2 v to about eps L^2 where it cancels,
     # which reaches a step map as about h eps L^2 of its largest entry
@@ -481,9 +478,8 @@ def test_in_place_shot_matches_fresh_arrays_bit_for_bit(name, scale, ell):
     pot = _tabulated_28(scale) if scale != 1.0 else SHAPES[name]
     L = AngularMomentum(ell).L
     coeffs, kappa = reference_step_coefficients(pot, ell)
-    s_end = math.log(_segment_radii(pot, DEFAULT_CONFIG.max_radius)[-1])
-    poly = exact._build_step_polynomial(pot, DEFAULT_CONFIG.max_radius,
-                                        DEFAULT_LOG_STEP, ell)
+    s_end = math.log(_segment_radii(pot)[-1])
+    poly = exact._build_step_polynomial(pot, DEFAULT_LOG_STEP, ell)
     assert poly.coeffs.tobytes() == coeffs.tobytes()
     assert (poly.kappa, poly.s_end) == (kappa, s_end)
     reference = exact._StepPolynomial(coeffs, kappa, s_end)
@@ -495,13 +491,12 @@ def test_in_place_shot_matches_fresh_arrays_bit_for_bit(name, scale, ell):
             prefix = reference_prefix_products(m)
         assert np.isfinite(end).all() and np.isfinite(prefix).all()
         w, dw = end[:, 0, -1] + end[:, 1, -1] * L
-        got = _integrate_log_radial(pot, ell, g, DEFAULT_CONFIG, DEFAULT_LOG_STEP)
+        got = _integrate_log_radial(pot, ell, g, DEFAULT_LOG_STEP)
         assert _bits(*got[:3]) == _bits(w, dw, s_end) and got[3] == 0
         w, dw = prefix[:, 0] + prefix[:, 1] * L
         negative = np.concatenate([[False], w < 0.0])
         nodes = int(np.count_nonzero(negative[1:] != negative[:-1]))
-        got = _integrate_log_radial(pot, ell, g, DEFAULT_CONFIG, DEFAULT_LOG_STEP,
-                                    count_nodes=True)
+        got = _integrate_log_radial(pot, ell, g, DEFAULT_LOG_STEP, count_nodes=True)
         assert _bits(*got[:3]) == _bits(w[-1], dw[-1], s_end) and got[3] == nodes
 
 
@@ -576,13 +571,13 @@ def test_shooting_scan_started_past_two_thresholds_raises():
         critical_coupling_shooting(Potential.square_well(), 0, g_start=30.0)
 
 
-def reference_shooting(pot, ell, g_start, cfg=DEFAULT_CONFIG, log_step=DEFAULT_LOG_STEP):
+def reference_shooting(pot, ell, g_start, log_step=DEFAULT_LOG_STEP):
     """The shooting scan as it was written out by hand before the shared
     bracket search, kept as the reference that search must match."""
     pot = pot.unit
 
     def coeff(g):
-        return exact.shoot_zero_energy(pot, ell, g, cfg, log_step)
+        return exact.shoot_zero_energy(pot, ell, g, log_step)
 
     # the halving walk lands on its floor rather than passing it
     a, top, floor = g_start, math.inf, 0.5e-6 * g_start
@@ -609,8 +604,7 @@ def reference_shooting(pot, ell, g_start, cfg=DEFAULT_CONFIG, log_step=DEFAULT_L
             if fb <= 0:
                 break
             a, fa = b, fb
-        if _integrate_log_radial(pot, ell, b, cfg, log_step,
-                                 count_nodes=True)[3] <= 1:
+        if _integrate_log_radial(pot, ell, b, log_step, count_nodes=True)[3] <= 1:
             scanned = {a: fa, b: fb}
             return brentq(lambda g: scanned.pop(g) if g in scanned else coeff(g),
                           a, b, rtol=1e-12, xtol=1e-300)
@@ -691,6 +685,14 @@ def test_power_iteration_stops_at_first_non_finite_iterate():
     with pytest.raises(AccuracyError,
                        match="power iteration produced a non-finite iterate"):
         largest_eigenvalue(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_power_iteration_stagnates_on_a_near_degenerate_matrix():
+    # the two eigenvalues differ by 1e-5, so the quotient creeps for longer
+    # than the iteration budget
+    with pytest.raises(AccuracyError,
+                       match="power iteration stagnated before reaching tolerance"):
+        largest_eigenvalue(np.diag([1.0, 0.99999]))
 
 
 def test_nystrom_overflowing_kernel_is_a_numerical_error(capsys):

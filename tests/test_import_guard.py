@@ -1,10 +1,11 @@
 """The package, its solvers, its closed forms and its commands run without
-scipy, which only the tests use; and the package's public names are the ones
-it lists in `__all__`."""
+scipy, which only the tests use; the package's public names are the ones it
+lists in `__all__`; and the numpy it declares has what it calls."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +82,11 @@ def test_all_lists_exactly_the_public_names_the_package_binds():
     assert set(gcrit.__all__) == {name for name in bound if not name.startswith("_")}
     for name in gcrit.__all__:
         assert hasattr(gcrit, name), name
+
+
+def test_declared_numpy_floor_has_vecdot():
+    # quadrature's panel sums call np.vecdot, which numpy 2.0 added; on 1.x
+    # the import succeeds and the first integral fails
+    text = (SRC.parent / "pyproject.toml").read_text()
+    [floor] = re.findall(r'"numpy>=([0-9][0-9.]*)"', text)
+    assert tuple(int(part) for part in floor.split(".")[:2]) >= (2, 0)

@@ -120,6 +120,19 @@ def test_support_radius_exponential_tail():
     assert math.isclose(got, expected, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Potential.exponential().support_radius(0.0), DomainError,
+     "tail_tol must be positive"),
+    (lambda: Potential(Kind.TABULATED), ConfigurationError,
+     "tabulated potential requires a nonempty grid"),
+], ids=["support_radius", "tabulated_without_grid"])
+def test_shape_inputs_outside_their_domain_raise_their_documented_error(call, error,
+                                                                        message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_support_radius_respects_radius_cap():
     with pytest.raises(TruncationError):
         Potential.exponential().support_radius(1e-12, max_radius=10.0)

@@ -1091,6 +1091,14 @@ def test_open_upper_end_is_the_mapped_axis(a, points):
             want.value, want.error_estimate, want.evaluations)
 
 
+@pytest.mark.parametrize("build", [lambda f: nested_double(f, f, CFG, upper=0.0),
+                                   lambda f: FixedRule(f, CFG, upper=-1.0)],
+                         ids=["nested_double", "FixedRule"])
+def test_rules_on_the_origin_axis_reject_an_upper_end_not_above_it(build):
+    with pytest.raises(DomainError, match=r"^upper limit must exceed 0\.0$"):
+        build(lambda x: x)
+
+
 @pytest.mark.parametrize("a, b", [(math.inf, None), (math.nan, None), (0.0, math.inf),
                                   (-math.inf, 1.0), (2.0, 2.0), (2.0, 1.0)])
 def test_integrate_rejects_non_finite_ends_and_empty_intervals(a, b):

@@ -515,7 +515,11 @@ def test_callers_reach_replaced_module_attributes(monkeypatch):
     ("kind = yukawa\n", [], "no section headers"),
     ("[potential]\nkind = tabulated\n", ["--grid-csv", "missing.csv"],
      "grid_csv"),
-], ids=["R", "ell", "rel_tol", "no_header", "missing_grid"])
+    ("[potential]\nkind = yukawa\n", ["--ell", "-1"], "ell values must be nonnegative"),
+    ("[potential]\nkind = yukawa\n", ["--digits", "1"], "digits must be at least 2"),
+    ("[run]\nell = 0\n", [], "field kind: no potential given"),
+], ids=["R", "ell", "rel_tol", "no_header", "missing_grid", "negative_ell", "digits",
+        "no_kind"])
 def test_cli_malformed_config_is_a_configuration_error(tmp_path, capsys, ini,
                                                        flags, named):
     cfg = tmp_path / "run.ini"
@@ -558,8 +562,7 @@ def test_check_config_reads_only_what_check_uses(tmp_path, capsys):
     assert main(["compute", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("shape, quadrature", [
-    ("yukawa", "max_subdivisions = 1"), ("exponential", "max_radius = 0.5")])
+@pytest.mark.parametrize("shape, quadrature", [("yukawa", "max_subdivisions = 1")])
 def test_check_config_uses_its_quadrature_section(tmp_path, capsys, shape, quadrature):
     # a starved [quadrature] section fails check as it fails compute
     cfg = tmp_path / "starved.ini"
@@ -567,6 +570,57 @@ def test_check_config_uses_its_quadrature_section(tmp_path, capsys, shape, quadr
                    f"[quadrature]\n{quadrature}\n")
     assert main(["check", "--config", str(cfg)]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+# a key gcrit does not read, by the verb that meets it: a misspelt key, a
+# key of another section, a section gcrit has not and [DEFAULT]
+@pytest.mark.parametrize("verb, ini, named", [
+    ("check", "[potential]\nkind = exponential\n[quadrature]\nmax_radius = 0.5\n",
+     "[quadrature] max_radius"),
+    ("compute", "[potential]\nkind = yukawa\n[quadrature]\nrel_tl = 1e-6\n",
+     "[quadrature] rel_tl"),
+    ("check", "[potential]\nkind = yukawa\n[run]\nrel_tol = 1e-6\n", "[run] rel_tol"),
+    ("compute", "[potential]\nkind = yukawa\n[quadratur]\nrel_tol = 1e-6\n",
+     "[quadratur] rel_tol"),
+    ("compute", "[DEFAULT]\nell = 1\n[potential]\nkind = yukawa\n", "[DEFAULT] ell"),
+], ids=["check-max_radius", "compute-misspelt", "check-other_section",
+        "compute-unknown_section", "compute-default_section"])
+def test_cli_config_key_gcrit_does_not_read_is_a_configuration_error(tmp_path, capsys,
+                                                                     verb, ini, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    assert main([verb, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"configuration error: config file {str(cfg)!r}: "
+                            f"{named} is not a gcrit key\n")
+
+
+# input read from a file, judged where it enters: (files to write, argv with
+# those names, the message)
+_FILE_INPUTS = {
+    "empty_methods": ({"run.ini": "[potential]\nkind = yukawa\n[run]\nmethods =\n"},
+                      ["compute", "--config", "run.ini"], "at least one method is required"),
+    "absent_config": ({}, ["check", "--config", "absent.ini"], "cannot read config file"),
+    "grid_inf": ({"grid.csv": "0.5,inf\n1.0,0\n"},
+                 ["compute", "--potential", "tabulated", "--grid-csv", "grid.csv"],
+                 "grid entries must be finite"),
+    "grid_header_only": ({"grid.csv": "radius,value\n\n"},
+                         ["compute", "--potential", "tabulated", "--grid-csv", "grid.csv"],
+                         "no grid rows found"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FILE_INPUTS))
+def test_cli_input_from_a_file_is_judged_where_it_enters(tmp_path, capsys, case):
+    files, argv, named = _FILE_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith((".ini", ".csv")) else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
+    assert "Traceback" not in err
 
 
 def test_bad_table_id_raises_before_computing(monkeypatch):
