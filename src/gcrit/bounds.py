@@ -13,6 +13,7 @@ f(r)^2 ~ r^(2p-1) v(r)^p, minimized over p > 0).
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -203,6 +204,8 @@ def lower_ggmt_at(pot: Potential, ell: int, p: float,
     pot, ell = pot.unit, AngularMomentum(ell).ell
     if not p >= 1.0:
         raise DomainError("the power-family condition requires p >= 1")
+    if p == math.inf:
+        raise DomainError("the power-family exponent p must be finite")
 
     def integrand(r):
         # overflows at large p on a tall shape; quadrature rejects the inf
@@ -232,6 +235,8 @@ def upper_calogero_I_at(pot: Potential, ell: int, a: float,
     ell = AngularMomentum(ell).ell
     if not a > 0:
         raise DomainError("matching radius a must be positive")
+    if a == math.inf:
+        raise DomainError("matching radius a must be finite")
     unit, x = pot.unit, a / pot.scale
     k = 2 * ell + 1
 
@@ -285,20 +290,91 @@ def _calogero_II_integrand(pot: Potential, ell: int, a: float, g: float):
 
 
 G_SEARCH_RANGE = (1e-6, 1e6)
+_NEWTON_STEPS = 50   # Newton iterations before plain bisection decides
 
 
-def _bracket_threshold(excess, g_start: float) -> tuple[float, float]:
+def _newton_root(excess, slope, lo: float, hi: float):
+    """(r, band): Newton from lo towards the root of a concave increasing
+    excess in [lo, hi], stopped at a step of at most 1e-13 r, which it does
+    not take, and a half-width around r that covers that step and the
+    rounding of excess; None if an iterate would leave [lo, hi] or is not
+    finite, or if the steps run out."""
+    r = lo
+    for _ in range(_NEWTON_STEPS):
+        d, noise = slope(r)
+        if not d > 0:
+            return None
+        step = -excess(r) / d
+        if not lo <= r + step <= hi:
+            return None
+        if abs(step) <= 1e-13 * r:
+            return r, abs(step) + noise / d
+        r += step
+    return None
+
+
+def _bracket_threshold(excess, g_start: float, slope=None) -> tuple[float, float]:
     """Smallest g with excess(g) >= 0 for an excess increasing in g, as (lo,
     hi) with excess(lo) < 0 <= excess(hi): a bracket widened by factors of 4
-    from g_start in G_SEARCH_RANGE, then bisected to 1e-12 relative."""
+    from g_start in G_SEARCH_RANGE, then bisected to 1e-12 relative.
+
+    slope(g), if given, returns excess'(g) and a bound on the rounding error
+    of excess(g), for an excess that is also concave.  Newton then rises
+    from the bracket's low end to its root r (`_newton_root`), and the
+    bisection runs on a stand-in that evaluates excess only within the band
+    around r and returns g - r elsewhere, so it halves the bracket exactly
+    as on excess itself, for a few evaluations instead of about 40.  If
+    Newton fails, or the leaf it yields is not a sign change of excess,
+    plain bisection decides.
+    """
     g_lo, g_hi = G_SEARCH_RANGE
     lo, hi = bracket(excess, g_start, 4.0, 4.0, g_lo, g_hi)
     if lo is None:
         raise SearchRangeError(f"sufficient condition already holds at g = {g_lo:g}")
     if hi is None:
         raise SearchRangeError(f"sufficient condition never reached 1 below g = {g_hi:g}")
+    root = None if slope is None else _newton_root(excess, slope, lo, hi)
+    if root is not None:
+        r, band = root
+        leaf = bisect(lambda g: excess(g) if abs(g - r) <= band else g - r, lo, hi, 1e-12)
+        if excess(leaf[0]) < 0 <= excess(leaf[1]):
+            return leaf
     # plain bisection: the left side is monotone in g, so this cannot fail
     return bisect(excess, lo, hi, 1e-12)
+
+
+def _frozen_calogero_II(unit: Potential, ell: int, x: float, rule: FixedRule,
+                        g_rule: float, f_rule: float):
+    """(excess, slope, sampled) of the nonlinear condition on a frozen rule,
+    for `_bracket_threshold`.
+
+    excess(g) = x * rule.integral(integrand at g) - 1, except f_rule, the
+    adaptive excess, at the rule's own strength g_rule; a value that is not
+    finite raises IntegrationError.  sampled holds each value by strength,
+    in the order first asked, and answers a repeated strength.  slope(g) is
+    x * rule.integral((v t/den)(t^2/den)) with den = t^2 + x^2 g v, the
+    derivative in g, and the rounding bound 4 n eps (1 + |excess(g)|) of an
+    n-node sum of positive terms.  The caller sets the floating-point error
+    state (see `upper_calogero_II_at`).
+    """
+    v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
+    rounding = 4 * rule.nodes.size * sys.float_info.epsilon
+    sampled = {}
+
+    def excess(g):
+        if g not in sampled:
+            f = f_rule if g == g_rule else x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
+            if not math.isfinite(f):
+                raise IntegrationError(f"frozen Calogero II rule non-finite at g = {g!r}")
+            sampled[g] = f
+        return sampled[g]
+
+    def slope(g):
+        den = t * t + x * x * g * v
+        d = x * rule.integral(np.where(den > 0, (v * t / den) * (t * t / den), 0.0))
+        return d, rounding * (1.0 + abs(excess(g)))
+
+    return excess, slope, sampled
 
 
 def upper_calogero_II_at(pot: Potential, ell: int, a: float,
@@ -313,20 +389,26 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
 
     The search runs on a frozen rule: the nodes and weights of the adaptive
     pass at g_trial, with v and (r/a)^(2l) cached there, so every further
-    trial g costs one vectorized sum.  The outcome stands if adaptive
-    quadrature, in one `lockstep` pass, agrees in sign at the samples that
-    decided it: the final bracket, or the last sample before a
-    SearchRangeError.  A frozen sum that is not finite raises
-    IntegrationError, which ends the frozen search with nothing to confirm.
-    Without a confirmed outcome the search reruns on adaptive values, and
-    its first unknown strength is evaluated in one lockstep pass with every
-    strength the frozen search tried.  Every value and error is that of its
-    own adaptive integral, and an error raises only at a strength the
-    search asks for.
+    trial g costs one vectorized sum, and Newton on the rule's concave
+    excess lets the bisection skip all but a few of them
+    (`_bracket_threshold`).  The outcome stands if adaptive quadrature, in
+    one `lockstep` pass, confirms the samples that decided it: adaptive(lo)
+    < 0 <= adaptive(hi) at the final bracket, or the same sign as the
+    frozen value at the last sample before a SearchRangeError.  Otherwise
+    one more rule is built at the strength where that search ended (hi, or
+    the last sample) and the frozen search reruns on it from the same
+    start, with its own samples, and is confirmed the same way.  A frozen
+    sum that is not finite raises IntegrationError, which ends the frozen
+    searches with nothing to confirm.  Without a confirmed outcome the
+    search reruns on adaptive values, one strength per lockstep pass.
+    Every value and error is that of its own adaptive integral, and an
+    error raises only at a strength the search asks for.
     """
     ell = AngularMomentum(ell).ell
     if not a > 0:
         raise DomainError("matching radius a must be positive")
+    if a == math.inf:
+        raise DomainError("matching radius a must be finite")
     if not g_trial > 0:
         # a NaN would pass the clamp below, and the bracket never leave it
         raise DomainError("trial strength g_trial must be positive")
@@ -334,11 +416,9 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     g_lo, g_hi = G_SEARCH_RANGE
     g0 = min(max(g_trial, g_lo), g_hi)
     rcfg = _rel_cfg(cfg)
-    rule = FixedRule(_calogero_II_integrand(unit, ell, x, g0), rcfg, **unit.support)
-    # the adaptive excess by strength, or the error its integral raised; the
-    # rule's own pass is the adaptive value at g0
-    known = {g0: x * rule.total - 1.0}
-    sampled = {}   # the frozen excess by strength, in the order tried
+    # the adaptive excess by strength, or the error its integral raised; a
+    # rule's own pass is the adaptive value at its strength
+    known = {}
 
     def confirm(gs):
         """Evaluate the adaptive excess at the new strengths of gs."""
@@ -352,45 +432,50 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
         for g, res in zip(new.tolist(), lockstep(family, new.size, rcfg, **unit.support)):
             known[g] = res if isinstance(res, Exception) else x * res.value - 1.0
 
+    def adaptive(g):
+        f = known[g]
+        return math.nan if isinstance(f, Exception) else f
+
     def excess(g):
-        if g not in known:
-            # a first miss also evaluates the strengths the frozen search tried
-            confirm([g, *sampled])
+        confirm([g])
         f = known[g]
         if isinstance(f, Exception):
             raise f
         return f
 
-    def frozen_excess(g):
-        f = known[g0] if g == g0 else x * rule.integral(_calogero_II_terms(v, t, x, g)) - 1.0
-        if not math.isfinite(f):
-            raise IntegrationError(f"frozen Calogero II rule non-finite at g = {g!r}")
-        sampled[g] = f
-        return f
-
-    # the one error state of the Calogero II integrand outside `_panels`
-    # (which sets its own): the frozen factors and search; an overflowing
-    # t^2 makes a frozen value non-finite, which raises IntegrationError,
-    # instead of a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
-        failure, decided = None, ()
-        try:
-            decided = _bracket_threshold(frozen_excess, g0)
-        except SearchRangeError as exc:
-            failure, decided = exc, [next(reversed(sampled))]   # the last sample
-        except IntegrationError:
-            pass
-    confirm(decided)
-    if decided and all(not isinstance(known[g], Exception)
-                       and (known[g] >= 0) == (sampled[g] >= 0) for g in decided):
-        if failure is not None:
-            raise failure
-        lo, hi = decided
-    else:
-        # a check that fails or cannot be evaluated proves nothing; the
-        # search on adaptive values decides, and raises whatever it meets
-        lo, hi = _bracket_threshold(excess, g0)
+    g_rule = g0
+    for _ in range(2):   # the rule at g0, then one rebuilt where its search ended
+        rule = FixedRule(_calogero_II_integrand(unit, ell, x, g_rule), rcfg, **unit.support)
+        known[g_rule] = x * rule.total - 1.0
+        # the one error state of the Calogero II integrand outside `_panels`
+        # (which sets its own): the frozen factors and search; an overflowing
+        # t^2 makes a frozen value non-finite, which raises IntegrationError,
+        # instead of a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            frozen, slope, sampled = _frozen_calogero_II(unit, ell, x, rule, g_rule,
+                                                         known[g_rule])
+            try:
+                lo, hi = _bracket_threshold(frozen, g0, slope)
+                failure, g_rule = None, hi
+            except SearchRangeError as exc:
+                failure, g_rule = exc, next(reversed(sampled))   # the last sample
+            except IntegrationError:
+                break
+        if failure is None:
+            confirm([lo, hi])
+            if adaptive(lo) < 0 <= adaptive(hi):
+                return BoundResult(Method.CALOGERO_II, Side.UPPER, hi, ell, optimal_param=a)
+        else:
+            confirm([g_rule])
+            # adaptive on the frozen value's side of 0; an error is on neither
+            f = adaptive(g_rule)
+            if f >= 0 if sampled[g_rule] >= 0 else f < 0:
+                raise failure
+        if isinstance(known[g_rule], Exception):
+            break   # a rule there would raise the same error
+    # a check that fails or cannot be evaluated proves nothing; the search on
+    # adaptive values decides, and raises whatever it meets
+    lo, hi = _bracket_threshold(excess, g0)
     return BoundResult(Method.CALOGERO_II, Side.UPPER, hi, ell, optimal_param=a)
 
 
@@ -442,6 +527,8 @@ def upper_variational_at(pot: Potential, ell: int, p: float,
     pot, ell = pot.unit, AngularMomentum(ell).ell
     if not p > 0:
         raise DomainError("trial power p must be positive")
+    if p == math.inf:
+        raise DomainError("trial power p must be finite")
     L = ell + 0.5
     norm = _positive(pot.support_integral(_trial_weight(pot, 2.0 * p - 1.0),
                                           _rel_cfg(cfg)), "trial normalization")

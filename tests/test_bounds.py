@@ -119,6 +119,13 @@ def test_every_fixed_parameter_limit_takes_cfg_fourth(name):
     assert at(EXP, 1, 1.5, cfg) == at(EXP, 1, 1.5, cfg=cfg)
 
 
+@pytest.mark.parametrize("name", sorted(AT_BOUNDS))
+def test_an_infinite_fixed_parameter_is_a_domain_error(name):
+    # an input error, not a numerical failure of the integrals it leads to
+    with pytest.raises(DomainError, match="must be finite$"):
+        AT_BOUNDS[name](EXP, 0, math.inf)
+
+
 def test_rel_cfg_keeps_a_config_at_or_below_its_floor():
     for abs_tol in (1e-280, 1e-300):
         cfg = QuadratureConfig(abs_tol=abs_tol)
@@ -480,9 +487,9 @@ def test_calogero_II_verification_catches_a_biased_rule(monkeypatch):
     searches = []
     bracket = bounds_module._bracket_threshold
 
-    def counted(excess, g_start):
+    def counted(excess, g_start, slope=None):
         searches.append(g_start)
-        return bracket(excess, g_start)
+        return bracket(excess, g_start, slope)
 
     monkeypatch.setattr(bounds_module, "_bracket_threshold", counted)
     want = reference_calogero_II(pot, 3, a, 1.0)
@@ -495,7 +502,106 @@ def test_calogero_II_verification_catches_a_biased_rule(monkeypatch):
                         lambda self, values: integral(self, values) * (1.0 + 1e-6))
     searches.clear()
     assert upper_calogero_II_at(pot, 3, a).value == want
-    assert len(searches) == 2  # rejected, then the adaptive search
+    # rejected, rejected again on the rule rebuilt at its bracket, then the
+    # adaptive search
+    assert len(searches) == 3
+
+
+# ---------------------------------------------------------------------------
+# Calogero II: Newton and the replayed bisection against plain bisection
+# ---------------------------------------------------------------------------
+
+def plain_search(excess, g_start):
+    """The final (lo, hi) of the threshold search on `excess`, walked by
+    factors of 4 and then plainly bisected: the reference that Newton and
+    the replayed bisection must match."""
+    g_lo, g_hi = G_SEARCH_RANGE
+    lo = hi = min(max(g_start, g_lo), g_hi)
+    f = excess(lo)
+    if f < 0:
+        while f < 0:
+            if hi >= g_hi:
+                raise SearchRangeError(
+                    f"sufficient condition never reached 1 below g = {g_hi:g}")
+            lo = hi
+            hi = min(4.0 * hi, g_hi)
+            f = excess(hi)
+    else:
+        while excess(lo) >= 0:
+            if lo <= g_lo:
+                raise SearchRangeError(
+                    f"sufficient condition already holds at g = {g_lo:g}")
+            hi = lo
+            lo = max(lo / 4.0, g_lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return lo, hi
+
+
+# (shape, l, a, g_trial) of two 15-node rules (one Kronrod panel) where the
+# root lies more than the rounding band but less than Newton's last step
+# (which it does not take) away from its last iterate
+FIFTEEN_NODES = {
+    "square_well/0": (SW, 0, 0.49962331121955766, 4.000064697551281),
+    "stis/0": (Potential.stis(0.1), 0, 0.04995412824297655, 440.66654713620915),
+}
+REPLAYS = {f"{shape}/{ell}/{factor}": (pot, ell, factor * a_opt[ell], 1.0)
+           for shape, (pot, a_opt) in CALOGERO_II_SHAPES.items()
+           for ell in (0, 3) for factor in (0.25, 1.0, 1.6, 4.0)}
+REPLAYS.update({f"15-node/{name}": case for name, case in FIFTEEN_NODES.items()})
+
+
+@pytest.mark.parametrize("case", sorted(REPLAYS))
+def test_calogero_II_newton_replay_is_plain_bisection(monkeypatch, case):
+    pot, ell, a, g0 = REPLAYS[case]
+    unit, x = pot.unit, a / pot.scale
+    rule = FixedRule(_calogero_II_integrand(unit, ell, x, g0), _rel_cfg(DEFAULT_CONFIG),
+                     **unit.support)
+    sums = []
+    integral = FixedRule.integral
+    monkeypatch.setattr(FixedRule, "integral",
+                        lambda self, values: sums.append(None) or integral(self, values))
+
+    def search(run):
+        """run's outcome on a fresh frozen excess and slope of the rule, and
+        the frozen sums it took."""
+        sums.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            excess, slope, _ = bounds_module._frozen_calogero_II(
+                unit, ell, x, rule, g0, x * rule.total - 1.0)
+            return search_outcome(lambda: run(excess, slope)), len(sums)
+
+    want, plain = search(lambda excess, _: plain_search(excess, g0))
+    got, replayed = search(lambda excess, slope:
+                           bounds_module._bracket_threshold(excess, g0, slope))
+    assert got == want
+    if isinstance(want[0], float):
+        assert replayed < plain, (replayed, plain)
+    else:   # out of range before any bisection
+        assert replayed == plain
+
+
+@pytest.mark.parametrize("case", sorted(FIFTEEN_NODES))
+def test_calogero_II_on_a_15_node_rule_is_the_adaptive_search(case):
+    pot, ell, a, g_trial = FIFTEEN_NODES[case]
+    got = upper_calogero_II_at(pot, ell, a, g_trial=g_trial).value
+    assert got == reference_calogero_II(pot, ell, a, g_trial)
+
+
+def test_a_replayed_leaf_that_is_no_sign_change_goes_to_plain_bisection():
+    # a slope far too steep stops Newton at the bracket's low end, with a
+    # band too narrow to hold the root
+    def excess(g):
+        return math.log(g / 3.0)
+
+    steep = bounds_module._bracket_threshold(excess, 1.0, lambda g: (1e20, 0.0))
+    assert steep == plain_search(excess, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,30 +620,28 @@ def search_outcome(search):
         return type(exc), str(exc)
 
 
-def observed_walk(pot, ell, a, g_trial, cfg, trap=(), asked=None):
+def observed_walk(pot, ell, a, g_trial, cfg, trap=(), walk=None):
     """Run upper_calogero_II_at and return the outcome of each of its
     searches, as search_outcome gives it, and the set of strengths each
     lockstep pass evaluated; a lockstep member at a strength in `trap` meets
-    a NaN (the frozen rule does not).  `asked` collects, per search, the
-    strengths it asks for."""
+    a NaN (the frozen rule does not).  `walk` collects, if the search on
+    adaptive values runs, the list of the passes it made."""
     searches, passes = [], []
-    asked = [] if asked is None else asked
+    walk = [] if walk is None else walk
     bracket = bounds_module._bracket_threshold
     lockstep = bounds_module.lockstep
     terms = bounds_module._calogero_II_terms
 
-    def counted(excess, g_start):
-        asked.append([])
-
-        def recorded(g):
-            asked[-1].append(g)
-            return excess(g)
-
+    def counted(excess, g_start, slope=None):
+        start = len(passes)
         try:
-            searches.append(bracket(recorded, g_start))
+            searches.append(bracket(excess, g_start, slope))
         except Exception as exc:
             searches.append((type(exc), str(exc)))
             raise
+        finally:
+            if slope is None:   # the search on adaptive values
+                walk.append(passes[start:])
         return searches[-1]
 
     def observed(f, m, *args, **kwargs):
@@ -578,55 +682,52 @@ def _nan_after(calls):
 
 
 # (shape, l, a, g_trial, a maker of the FixedRule.integral to use or None,
-# at most this many lockstep passes or None): searches whose frozen rule is
-# rejected
+# the number of searches): searches whose first frozen rule is rejected
 FALLBACKS = {
-    # the rule is off by ~1e-9 at both ends of its bracket (search config)
-    "natural/exponential/3": (EXP, 3, 0.834, 1.0, None, 4),
-    # a rule off by 1e-6 parts from the walk's path about halfway through
-    # the bisection, so each later step takes a pass of its own
+    # the rule is off by ~1e-9 at both ends of its bracket (search config);
+    # the rule rebuilt at that bracket confirms, and no walk runs
+    "natural/exponential/3": (EXP, 3, 0.834, 1.0, None, 2),
+    # a rule off by 1e-6 parts, rebuilt just as biased: the frozen search,
+    # the rebuilt one, then the walk
     "biased/tabulated64/3": (CALOGERO_II_SHAPES["tabulated64"][0], 3, 1.408, 1.0,
-                             lambda: _biased(1.0 + 1e-6), 26),
-    "biased/yukawa/0": (YUK, 0, 0.641, 40.0, lambda: _biased(1.0 - 1e-6), 26),
+                             lambda: _biased(1.0 + 1e-6), 3),
+    "biased/yukawa/0": (YUK, 0, 0.641, 40.0, lambda: _biased(1.0 - 1e-6), 3),
     "biased/shell/3": (Potential.shell(0.1), 3, 0.678, 1.0,
-                       lambda: _biased(1.0 + 1e-6), 26),
+                       lambda: _biased(1.0 + 1e-6), 3),
     # the rule brackets a threshold that adaptive quadrature never reaches
-    "range/square_well/0": (SW, 0, 25.0, 1.0, lambda: _biased(1e3), None),
-    "nan/exponential/0": (EXP, 0, 1.594, 1.0, lambda: _nan_after(5), None),
+    "range/square_well/0": (SW, 0, 25.0, 1.0, lambda: _biased(1e3), 3),
+    # a non-finite frozen sum goes straight to the walk
+    "nan/exponential/0": (EXP, 0, 1.594, 1.0, lambda: _nan_after(5), 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_calogero_II_fallback_walk_matches_sequential_search(monkeypatch, case):
-    pot, ell, a, g_trial, integral, most = FALLBACKS[case]
+    pot, ell, a, g_trial, integral, count = FALLBACKS[case]
     want = search_outcome(lambda: reference_bracket(pot, ell, a, g_trial, SEARCH_CFG))
     if integral is not None:
         monkeypatch.setattr(FixedRule, "integral", integral())
-    asked = []
-    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, asked=asked)
-    assert len(searches) == 2   # the frozen search, rejected, then the walk
+    walk = []
+    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, walk=walk)
+    assert len(searches) == count
     assert searches[-1] == want
     evaluated = [g for p in passes for g in p]
     assert len(evaluated) == len(set(evaluated))   # each strength once
     assert g_trial not in evaluated   # the rule's own pass is the value there
-    if most is not None:
-        assert len(passes) <= most, [len(p) for p in passes]
-    if case.startswith("biased"):
-        # the check's pass, then the walk's first miss with the rest of the
-        # frozen path, then one pass per further miss
-        frozen, walk = asked
-        check, first, *later = passes
-        miss = next(g for g in walk if g != g_trial and g not in check)
-        assert first == {miss} | (set(frozen) - {g_trial} - check)
-        assert all(len(p) == 1 for p in later), [len(p) for p in later]
+    if case.startswith("natural"):
+        assert walk == []   # confirmed on the rebuilt rule
+    else:
+        # the walk evaluates one strength per lockstep pass
+        [made] = walk
+        assert made and all(len(p) == 1 for p in made), [len(p) for p in made]
     if case.startswith("range"):
         assert want[0] is SearchRangeError
 
 
-@pytest.mark.parametrize("case", ["natural/exponential/3", "biased/yukawa/0"])
+@pytest.mark.parametrize("case", ["biased/tabulated64/3", "biased/yukawa/0"])
 def test_calogero_II_walk_ignores_errors_it_never_visits(monkeypatch, case):
-    # a strength the walk evaluated ahead but the search never asks for may
-    # neither raise nor change the bracket
+    # a strength the checks evaluated but the sequential search never asks
+    # for may neither raise nor change the bracket
     pot, ell, a, g_trial, integral, _ = FALLBACKS[case]
     visited = []
     want = search_outcome(
@@ -634,16 +735,17 @@ def test_calogero_II_walk_ignores_errors_it_never_visits(monkeypatch, case):
     if integral is not None:
         monkeypatch.setattr(FixedRule, "integral", integral())
     _, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG)
-    # strengths the walk evaluated but the sequential search never asks for
+    # strengths evaluated but the sequential search never asks for
     trap = set().union(*passes) - set(visited)
     assert trap
-    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, trap)
+    walk = []
+    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, trap, walk)
     assert trap & set().union(*passes)   # some of their integrals did fail
-    assert len(searches) == 2
+    assert len(walk) == 1
     assert searches[-1] == want
 
 
-@pytest.mark.parametrize("case", ["natural/exponential/3", "biased/yukawa/0"])
+@pytest.mark.parametrize("case", ["biased/tabulated64/3", "biased/yukawa/0"])
 def test_calogero_II_walk_raises_an_error_it_visits(monkeypatch, case):
     # the complement: a strength the sequential search asks for meets a NaN
     # in its adaptive integral, so the walk raises that error
@@ -654,9 +756,10 @@ def test_calogero_II_walk_raises_an_error_it_visits(monkeypatch, case):
         monkeypatch.setattr(FixedRule, "integral", integral())
     # the rule's own pass is the value at g_trial, which no lockstep repeats
     trap = set(visited) - {g_trial}
-    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, trap)
+    walk = []
+    searches, passes = observed_walk(pot, ell, a, g_trial, SEARCH_CFG, trap, walk)
     assert trap & set().union(*passes)
-    assert len(searches) == 2
+    assert len(walk) == 1
     assert searches[-1][0] is IntegrationError
 
 

@@ -523,7 +523,10 @@ def _biased_rule(m):
 @pytest.mark.parametrize("name", ["second_order", "third_order", "variational_at",
                                   "calogero_II_at", "calogero_II_at/fallback"])
 def test_capped_bounds_match_one_call_per_round(sweep_grid, name):
-    pot = sweep_grid(256, 0)
+    # the fallback walk evaluates one strength per lockstep pass, so no round
+    # of the fallback passes the cap on 256 knots; on 300 knots the confirm
+    # pass of a frozen bracket's two strengths does
+    pot = sweep_grid(300 if name.endswith("/fallback") else 256, 0)
     compute = {
         "second_order": lambda: bounds.lower_second_order(pot, 1),
         "third_order": lambda: bounds.lower_third_order(pot, 1),
