@@ -397,8 +397,15 @@ def reference_bracket(pot, ell, a, g_trial, cfg=DEFAULT_CONFIG, visited=None):
         visited.append(g)
         return _calogero_II_lhs(pot, ell, a, g, cfg) - 1.0
 
+    return plain_search(excess, g_trial)
+
+
+def plain_search(excess, g_start):
+    """The final (lo, hi) of the threshold search on `excess`, walked by
+    factors of 4 and then plainly bisected: the reference search of both
+    `reference_bracket` and the frozen rule's Newton replay."""
     g_lo, g_hi = G_SEARCH_RANGE
-    lo = hi = min(max(g_trial, g_lo), g_hi)
+    lo = hi = min(max(g_start, g_lo), g_hi)
     f = excess(lo)
     # a step lands on an end of G_SEARCH_RANGE rather than passing it
     if f < 0:
@@ -510,39 +517,6 @@ def test_calogero_II_verification_catches_a_biased_rule(monkeypatch):
 # ---------------------------------------------------------------------------
 # Calogero II: Newton and the replayed bisection against plain bisection
 # ---------------------------------------------------------------------------
-
-def plain_search(excess, g_start):
-    """The final (lo, hi) of the threshold search on `excess`, walked by
-    factors of 4 and then plainly bisected: the reference that Newton and
-    the replayed bisection must match."""
-    g_lo, g_hi = G_SEARCH_RANGE
-    lo = hi = min(max(g_start, g_lo), g_hi)
-    f = excess(lo)
-    if f < 0:
-        while f < 0:
-            if hi >= g_hi:
-                raise SearchRangeError(
-                    f"sufficient condition never reached 1 below g = {g_hi:g}")
-            lo = hi
-            hi = min(4.0 * hi, g_hi)
-            f = excess(hi)
-    else:
-        while excess(lo) >= 0:
-            if lo <= g_lo:
-                raise SearchRangeError(
-                    f"sufficient condition already holds at g = {g_lo:g}")
-            hi = lo
-            lo = max(lo / 4.0, g_lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return lo, hi
-
 
 # (shape, l, a, g_trial) of two 15-node rules (one Kronrod panel) where the
 # root lies more than the rounding band but less than Newton's last step
