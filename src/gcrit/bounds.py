@@ -21,10 +21,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import quadrature
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      InvariantViolation, SearchRangeError)
 from .exact import critical_coupling_nystrom, critical_coupling_shooting
-from .optimize import bisect, bracket, minimize_scalar_log
+from .optimize import bisect, bracket, brentq, minimize_scalar_log
 from .potentials import AngularMomentum, Kind, Potential
 from .quadrature import (DEFAULT_CONFIG, FixedRule, QuadratureConfig, integrate,
                          lockstep, nested_double, nested_triple, replaying)
@@ -290,27 +291,6 @@ def _calogero_II_integrand(pot: Potential, ell: int, a: float, g: float):
 
 
 G_SEARCH_RANGE = (1e-6, 1e6)
-_NEWTON_STEPS = 50   # Newton iterations before plain bisection decides
-
-
-def _newton_root(excess, slope, lo: float, hi: float):
-    """(r, band): Newton from lo towards the root of a concave increasing
-    excess in [lo, hi], stopped at a step of at most 1e-13 r, which it does
-    not take, and a half-width around r that covers that step and the
-    rounding of excess; None if an iterate would leave [lo, hi] or is not
-    finite, or if the steps run out."""
-    r = lo
-    for _ in range(_NEWTON_STEPS):
-        d, noise = slope(r)
-        if not d > 0:
-            return None
-        step = -excess(r) / d
-        if not lo <= r + step <= hi:
-            return None
-        if abs(step) <= 1e-13 * r:
-            return r, abs(step) + noise / d
-        r += step
-    return None
 
 
 def _bracket_threshold(excess, g_start: float, slope=None) -> tuple[float, float]:
@@ -319,13 +299,14 @@ def _bracket_threshold(excess, g_start: float, slope=None) -> tuple[float, float
     from g_start in G_SEARCH_RANGE, then bisected to 1e-12 relative.
 
     slope(g), if given, returns excess'(g) and a bound on the rounding error
-    of excess(g), for an excess that is also concave.  Newton then rises
-    from the bracket's low end to its root r (`_newton_root`), and the
-    bisection runs on a stand-in that evaluates excess only within the band
-    around r and returns g - r elsewhere, so it halves the bracket exactly
-    as on excess itself, for a few evaluations instead of about 40.  If
-    Newton fails, or the leaf it yields is not a sign change of excess,
-    plain bisection decides.
+    of excess(g).  `brentq` then finds a root r of excess in the bracket to
+    1e-13 relative, and the bisection runs on a stand-in that evaluates
+    excess only within r +- (1e-13 r + 2 rounding / slope), Brent's
+    tolerance plus twice the rounding zone, and returns g - r elsewhere, so
+    it halves the bracket exactly as on excess itself, for a few
+    evaluations instead of about 40.  If brentq fails, the slope at r is
+    not positive, or the leaf the stand-in yields is not a sign change of
+    excess, plain bisection decides.
     """
     g_lo, g_hi = G_SEARCH_RANGE
     lo, hi = bracket(excess, g_start, 4.0, 4.0, g_lo, g_hi)
@@ -333,12 +314,17 @@ def _bracket_threshold(excess, g_start: float, slope=None) -> tuple[float, float
         raise SearchRangeError(f"sufficient condition already holds at g = {g_lo:g}")
     if hi is None:
         raise SearchRangeError(f"sufficient condition never reached 1 below g = {g_hi:g}")
-    root = None if slope is None else _newton_root(excess, slope, lo, hi)
-    if root is not None:
-        r, band = root
-        leaf = bisect(lambda g: excess(g) if abs(g - r) <= band else g - r, lo, hi, 1e-12)
-        if excess(leaf[0]) < 0 <= excess(leaf[1]):
-            return leaf
+    if slope is not None:
+        try:
+            r = brentq(excess, lo, hi, xtol=5e-324, rtol=1e-13)
+            d, noise = slope(r)
+        except AccuracyError:
+            d = math.nan
+        if d > 0:
+            band = 1e-13 * r + 2 * noise / d
+            leaf = bisect(lambda g: excess(g) if abs(g - r) <= band else g - r, lo, hi, 1e-12)
+            if excess(leaf[0]) < 0 <= excess(leaf[1]):
+                return leaf
     # plain bisection: the left side is monotone in g, so this cannot fail
     return bisect(excess, lo, hi, 1e-12)
 
@@ -351,13 +337,18 @@ def _frozen_calogero_II(unit: Potential, ell: int, x: float, rule: FixedRule,
     excess(g) = x * rule.integral(integrand at g) - 1, except f_rule, the
     adaptive excess, at the rule's own strength g_rule; a value that is not
     finite raises IntegrationError.  sampled holds each value by strength,
-    in the order first asked, and answers a repeated strength.  slope(g) is
-    x * rule.integral((v t/den)(t^2/den)) with den = t^2 + x^2 g v, the
+    in the order first asked, and answers a repeated strength.  slope(g),
+    which sizes the search's band around its root, is x *
+    rule.integral((v t/den)(t^2/den)) with den = t^2 + x^2 g v, the
     derivative in g, and the rounding bound 4 n eps (1 + |excess(g)|) of an
-    n-node sum of positive terms.  The caller sets the floating-point error
-    state (see `upper_calogero_II_at`).
+    n-node sum of positive terms.  v and t are evaluated in blocks of
+    `quadrature.MAX_CALL_NODES` nodes.  The caller sets the floating-point
+    error state (see `upper_calogero_II_at`).
     """
-    v, t = _calogero_II_factors(unit, ell, x, rule.nodes)
+    cap = quadrature.MAX_CALL_NODES
+    blocks = (_calogero_II_factors(unit, ell, x, rule.nodes[i:i + cap])
+              for i in range(0, rule.nodes.size, cap))
+    v, t = map(np.concatenate, zip(*blocks))
     rounding = 4 * rule.nodes.size * sys.float_info.epsilon
     sampled = {}
 
@@ -389,15 +380,15 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
 
     The search runs on a frozen rule: the nodes and weights of the adaptive
     pass at g_trial, with v and (r/a)^(2l) cached there, so every further
-    trial g costs one vectorized sum, and Newton on the rule's concave
+    trial g costs one vectorized sum, and Brent's method on the rule's
     excess lets the bisection skip all but a few of them
     (`_bracket_threshold`).  The outcome stands if adaptive quadrature, in
-    one `lockstep` pass, confirms the samples that decided it: adaptive(lo)
-    < 0 <= adaptive(hi) at the final bracket, or the same sign as the
-    frozen value at the last sample before a SearchRangeError.  Otherwise
-    one more rule is built at the strength where that search ended (hi, or
-    the last sample) and the frozen search reruns on it from the same
-    start, with its own samples, and is confirmed the same way.  A frozen
+    one `lockstep` pass, puts each sample that decided it on its frozen
+    side of 0: lo and hi of the final bracket, or the last sample before a
+    SearchRangeError.  Otherwise one more rule is built at the last of
+    those samples (hi, or the last sample) and the frozen search reruns on
+    it from the same start, with its own samples, and is judged the same
+    way.  A frozen
     sum that is not finite raises IntegrationError, which ends the frozen
     searches with nothing to confirm.  Without a confirmed outcome the
     search reruns on adaptive values, one strength per lockstep pass.
@@ -420,28 +411,23 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
     # rule's own pass is the adaptive value at its strength
     known = {}
 
-    def confirm(gs):
-        """Evaluate the adaptive excess at the new strengths of gs."""
+    def adaptive(gs):
+        """The adaptive excess at each strength of gs, NaN where its integral
+        raised; the new strengths are evaluated in one lockstep pass."""
         new = np.array([g for g in dict.fromkeys(gs) if g not in known])
-        if not new.size:
-            return
+        if new.size:
+            def family(r, k):
+                return _calogero_II_integrand(unit, ell, x, new[k])(r)
 
-        def family(r, k):
-            return _calogero_II_integrand(unit, ell, x, new[k])(r)
-
-        for g, res in zip(new.tolist(), lockstep(family, new.size, rcfg, **unit.support)):
-            known[g] = res if isinstance(res, Exception) else x * res.value - 1.0
-
-    def adaptive(g):
-        f = known[g]
-        return math.nan if isinstance(f, Exception) else f
+            for g, res in zip(new.tolist(), lockstep(family, new.size, rcfg, **unit.support)):
+                known[g] = res if isinstance(res, Exception) else x * res.value - 1.0
+        return [math.nan if isinstance(known[g], Exception) else known[g] for g in gs]
 
     def excess(g):
-        confirm([g])
-        f = known[g]
-        if isinstance(f, Exception):
-            raise f
-        return f
+        adaptive([g])
+        if isinstance(known[g], Exception):
+            raise known[g]
+        return known[g]
 
     g_rule = g0
     for _ in range(2):   # the rule at g0, then one rebuilt where its search ended
@@ -455,27 +441,25 @@ def upper_calogero_II_at(pot: Potential, ell: int, a: float,
             frozen, slope, sampled = _frozen_calogero_II(unit, ell, x, rule, g_rule,
                                                          known[g_rule])
             try:
-                lo, hi = _bracket_threshold(frozen, g0, slope)
-                failure, g_rule = None, hi
+                outcome = decided = _bracket_threshold(frozen, g0, slope)
             except SearchRangeError as exc:
-                failure, g_rule = exc, next(reversed(sampled))   # the last sample
+                outcome, decided = exc, [next(reversed(sampled))]   # the last sample
             except IntegrationError:
                 break
-        if failure is None:
-            confirm([lo, hi])
-            if adaptive(lo) < 0 <= adaptive(hi):
-                return BoundResult(Method.CALOGERO_II, Side.UPPER, hi, ell, optimal_param=a)
-        else:
-            confirm([g_rule])
-            # adaptive on the frozen value's side of 0; an error is on neither
-            f = adaptive(g_rule)
-            if f >= 0 if sampled[g_rule] >= 0 else f < 0:
-                raise failure
+        # the outcome stands if each sample that decided it is on its frozen
+        # side of 0 in adaptive quadrature too; NaN is on neither side
+        if all(f >= 0 if sampled[g] >= 0 else f < 0
+               for g, f in zip(decided, adaptive(decided))):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return BoundResult(Method.CALOGERO_II, Side.UPPER, outcome[1], ell,
+                               optimal_param=a)
+        g_rule = decided[-1]
         if isinstance(known[g_rule], Exception):
             break   # a rule there would raise the same error
     # a check that fails or cannot be evaluated proves nothing; the search on
     # adaptive values decides, and raises whatever it meets
-    lo, hi = _bracket_threshold(excess, g0)
+    hi = _bracket_threshold(excess, g0)[1]
     return BoundResult(Method.CALOGERO_II, Side.UPPER, hi, ell, optimal_param=a)
 
 

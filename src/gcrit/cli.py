@@ -50,6 +50,17 @@ def _unique(items) -> tuple:
     return tuple(dict.fromkeys(items))
 
 
+def _ells(items) -> tuple[int, ...]:
+    """The partial waves of a run or a check, each once: at least one, and
+    none negative."""
+    ells = _unique(items)
+    if not ells:
+        raise ConfigurationError("at least one ell is required")
+    if any(e < 0 for e in ells):
+        raise ConfigurationError("ell values must be nonnegative")
+    return ells
+
+
 @dataclass(frozen=True)
 class RunConfig:
     potential: Potential
@@ -60,11 +71,7 @@ class RunConfig:
     quadrature: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        object.__setattr__(self, "ells", _unique(self.ells))
-        if not self.ells:
-            raise ConfigurationError("at least one ell is required")
-        if any(e < 0 for e in self.ells):
-            raise ConfigurationError("ell values must be nonnegative")
+        object.__setattr__(self, "ells", _ells(self.ells))
         if not self.methods:
             raise ConfigurationError("at least one method is required")
         for m in self.methods:
@@ -299,7 +306,7 @@ def _cmd_check(args) -> int:
         # every analytic kind, at its parameter's default; one without a default sits out
         potentials = [Potential(k, **({s.param: s.default} if s.param else {}))
                       for k, s in SHAPES.items() if s.param is None or s.default]
-        ells, cfg = _unique(args.ell or (0, 1, 2)), DEFAULT_CONFIG
+        ells, cfg = _ells(args.ell or (0, 1, 2)), DEFAULT_CONFIG
     failures = 0
 
     def report(ok: bool, text: str):

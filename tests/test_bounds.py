@@ -515,12 +515,12 @@ def test_calogero_II_verification_catches_a_biased_rule(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Calogero II: Newton and the replayed bisection against plain bisection
+# Calogero II: Brent's root and the replayed bisection against plain bisection
 # ---------------------------------------------------------------------------
 
-# (shape, l, a, g_trial) of two 15-node rules (one Kronrod panel) where the
-# root lies more than the rounding band but less than Newton's last step
-# (which it does not take) away from its last iterate
+# (shape, l, a, g_trial) of two 15-node rules (one Kronrod panel), the
+# smallest rule a frozen search runs on; a Newton root, stopped before its
+# last step, once carried the replay into the neighbouring leaf on both
 FIFTEEN_NODES = {
     "square_well/0": (SW, 0, 0.49962331121955766, 4.000064697551281),
     "stis/0": (Potential.stis(0.1), 0, 0.04995412824297655, 440.66654713620915),
@@ -568,14 +568,66 @@ def test_calogero_II_on_a_15_node_rule_is_the_adaptive_search(case):
     assert got == reference_calogero_II(pot, ell, a, g_trial)
 
 
-def test_a_replayed_leaf_that_is_no_sign_change_goes_to_plain_bisection():
-    # a slope far too steep stops Newton at the bracket's low end, with a
-    # band too narrow to hold the root
+def _bisections(monkeypatch):
+    """Record the function of each `optimize.bisect` call of
+    `_bracket_threshold`."""
+    calls = []
+    bisect = bounds_module.bisect
+
+    def spy(f, lo, hi, rel_tol):
+        calls.append(f)
+        return bisect(f, lo, hi, rel_tol)
+
+    monkeypatch.setattr(bounds_module, "bisect", spy)
+    return calls
+
+
+def test_a_replayed_leaf_that_is_no_sign_change_goes_to_plain_bisection(monkeypatch):
+    # a stated rounding of 0 on an excess that dips below 0 again just past
+    # its root, within a leaf's width: the replay's leaf straddles the root
+    # Brent finds but ends in the dip
+    def excess(g):
+        return -1.0 if 3.0 + 5e-13 <= g < 3.0 + 3e-12 else g - 3.0
+
+    calls = _bisections(monkeypatch)
+    got = bounds_module._bracket_threshold(excess, 1.0, lambda g: (1.0, 0.0))
+    assert got == plain_search(excess, 1.0)
+    assert len(calls) == 2 and calls[1] is excess   # the replay, then plain bisection
+
+
+def _raises_accuracy_error(*args, **kwargs):
+    raise AccuracyError("brentq: no convergence in 100 iterations")
+
+
+@pytest.mark.parametrize("failure", ["brentq", "zero_slope", "nan_slope"])
+def test_a_failed_root_goes_to_plain_bisection(monkeypatch, failure):
+    # Brent's method raising AccuracyError, or a slope at its root that is
+    # not above 0, leaves no band to replay in
+    slope = {"zero_slope": 0.0, "nan_slope": math.nan}.get(failure, 1.0)
+    if failure == "brentq":
+        monkeypatch.setattr(bounds_module, "brentq", _raises_accuracy_error)
+
     def excess(g):
         return math.log(g / 3.0)
 
-    steep = bounds_module._bracket_threshold(excess, 1.0, lambda g: (1e20, 0.0))
-    assert steep == plain_search(excess, 1.0)
+    calls = _bisections(monkeypatch)
+    got = bounds_module._bracket_threshold(excess, 1.0, lambda g: (slope, 0.0))
+    assert got == plain_search(excess, 1.0)
+    assert calls == [excess]
+
+
+@pytest.mark.parametrize("g_start", [1.0, 0.7, 2.0])
+def test_the_band_holds_every_sign_change_within_the_stated_rounding(g_start):
+    # the excess g - 3 +- 1e-10 changes sign three times within 1e-10 of 3:
+    # up at 3 - 1e-10, down at 3 - 8e-11 and up at 3 + 3e-11; Brent's root is
+    # the first, plain bisection ends at the last, and only a band that holds
+    # all three replays plain bisection's path
+    def excess(g):
+        return g - 3.0 + (-1e-10 if 3.0 - 8e-11 <= g < 3.0 + 3e-11 else 1e-10)
+
+    want = plain_search(excess, g_start)
+    assert want[1] > 3.0
+    assert bounds_module._bracket_threshold(excess, g_start, lambda g: (1.0, 1e-10)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +787,74 @@ def test_calogero_II_walk_raises_an_error_it_visits(monkeypatch, case):
     assert trap & set().union(*passes)
     assert len(walk) == 1
     assert searches[-1][0] is IntegrationError
+
+
+# the fallback cases, one whose first rule stands, and one out of range
+JUDGED = {**FALLBACKS,
+          "stands/yukawa/0": (YUK, 0, 0.641, 1.0, None, 1),
+          "stands/square_well/3": (SW, 3, 50.0, 1.0, None, 1)}
+
+
+@pytest.mark.parametrize("case", sorted(JUDGED))
+def test_a_frozen_outcome_stands_exactly_when_its_deciding_samples_keep_their_side(
+        monkeypatch, case):
+    # the deciding samples are (lo, hi) of a bracket, or the last sample of
+    # a SearchRangeError; a rejected outcome rebuilds the rule at the last
+    # of them, and after a second rejection the search on adaptive values
+    # decides
+    pot, ell, a, g_trial, integral, _ = JUDGED[case]
+    if integral is not None:
+        monkeypatch.setattr(FixedRule, "integral", integral())
+    rules, walks = [], []   # [g_rule, sampled, outcome] of each frozen search
+    frozen = bounds_module._frozen_calogero_II
+    bracket = bounds_module._bracket_threshold
+
+    def spied(unit, ell, x, rule, g_rule, f_rule):
+        excess, slope, sampled = frozen(unit, ell, x, rule, g_rule, f_rule)
+        rules.append([g_rule, sampled, None])
+        return excess, slope, sampled
+
+    def judged(excess, g_start, slope=None):
+        if slope is None:
+            walks.append(g_start)
+            return bracket(excess, g_start)
+        try:
+            rules[-1][2] = bracket(excess, g_start, slope)
+        except _SEARCH_ERRORS as exc:
+            rules[-1][2] = type(exc), str(exc)
+            raise
+        return rules[-1][2]
+
+    monkeypatch.setattr(bounds_module, "_frozen_calogero_II", spied)
+    monkeypatch.setattr(bounds_module, "_bracket_threshold", judged)
+    result = search_outcome(
+        lambda: upper_calogero_II_at(pot, ell, a, SEARCH_CFG, g_trial=g_trial))
+    monkeypatch.undo()
+
+    def adaptive(g):
+        try:
+            return _calogero_II_lhs(pot, ell, a, g, SEARCH_CFG) - 1.0
+        except _SEARCH_ERRORS:
+            return math.nan
+
+    assert rules[0][0] == g_trial and len(rules) <= 2
+    for k, (g_rule, sampled, outcome) in enumerate(rules):
+        last = k == len(rules) - 1
+        if outcome[0] is IntegrationError:   # a non-finite frozen sum
+            assert last and len(walks) == 1
+            continue
+        decided = outcome if isinstance(outcome[0], float) else [list(sampled)[-1]]
+        if all(adaptive(g) >= 0 if sampled[g] >= 0 else adaptive(g) < 0
+               for g in decided):
+            assert last and walks == []
+            if outcome[0] is SearchRangeError:
+                assert result == outcome
+            else:
+                assert result.value == outcome[1]
+        elif last:
+            assert len(walks) == 1
+        else:
+            assert rules[k + 1][0] == decided[-1]
 
 
 def test_variational_overflowing_shape_raises_without_warning():

@@ -56,8 +56,9 @@ def _close(got: dict, want: dict):
 
 @pytest.mark.parametrize("knots, shape, ell", [
     (16, 0, 1),
-    # a 4,042-span lockstep round and a 216,000-node third-order read, each
-    # evaluated in blocks of quadrature.MAX_CALL_NODES nodes
+    # a 216,000-node third-order read, evaluated in blocks of
+    # quadrature.MAX_CALL_NODES nodes; its largest lockstep round (172
+    # spans) stays below the cap
     (64, 1, 2),
     # its Calogero II sits 3.3e-13 from golden, where a threshold search
     # reaches the top of G_SEARCH_RANGE

@@ -521,18 +521,22 @@ def _biased_rule(m):
 
 
 @pytest.mark.parametrize("name", ["second_order", "third_order", "variational_at",
-                                  "calogero_II_at", "calogero_II_at/fallback"])
+                                  "calogero_II_at", "calogero_II_at/fallback",
+                                  "calogero_II_at/frozen"])
 def test_capped_bounds_match_one_call_per_round(sweep_grid, name):
     # the fallback walk evaluates one strength per lockstep pass, so no round
     # of the fallback passes the cap on 256 knots; on 300 knots the confirm
-    # pass of a frozen bracket's two strengths does
-    pot = sweep_grid(300 if name.endswith("/fallback") else 256, 0)
+    # pass of a frozen bracket's two strengths does; on 600 knots the frozen
+    # rule's factors span 9,000 nodes
+    pot = sweep_grid({"calogero_II_at/fallback": 300, "calogero_II_at/frozen": 600}
+                     .get(name, 256), 0)
     compute = {
         "second_order": lambda: bounds.lower_second_order(pot, 1),
         "third_order": lambda: bounds.lower_third_order(pot, 1),
         "variational_at": lambda: bounds.upper_variational_at(pot, 1, 1.3),
         "calogero_II_at": lambda: bounds.upper_calogero_II_at(pot, 1, 0.5 * pot.scale),
         "calogero_II_at/fallback": lambda: bounds.upper_calogero_II_at(pot, 1, pot.scale),
+        "calogero_II_at/frozen": lambda: bounds.upper_calogero_II_at(pot, 1, pot.scale),
     }[name]
     with pytest.MonkeyPatch.context() as m:
         if name.endswith("/fallback"):

@@ -872,6 +872,21 @@ def test_cli_check_runs_a_repeated_ell_once(monkeypatch, tmp_path, capsys, sourc
     assert len(out) == len(set(out)) == 5 * len(labels)
 
 
+@pytest.mark.parametrize("argv", [["check", "--ell", "-1"],
+                                  ["check", "--ell", "0", "-1"],
+                                  ["compute", "--potential", "square_well", "--ell", "-1"]])
+def test_a_negative_ell_is_judged_before_any_output(monkeypatch, capsys, argv):
+    # check without a potential judges its ells as compute does, before the
+    # first shape's regularity line
+    visited = []
+    monkeypatch.setattr("gcrit.cli.sandwich", _stub_sandwich(visited))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "configuration error: ell values must be nonnegative\n"
+    assert visited == []
+
+
 def test_cli_compute_out_writes_what_stdout_prints(tmp_path, capsys):
     argv = ["compute", "--potential", "exponential", "--ell", "0", "1",
             "--methods", "bargmann_schwinger", "second_order", "--format", "md"]
