@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import quadrature
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      InvariantViolation, SearchRangeError)
 from .exact import critical_coupling_nystrom, critical_coupling_shooting
@@ -341,14 +340,11 @@ def _frozen_calogero_II(unit: Potential, ell: int, x: float, rule: FixedRule,
     which sizes the search's band around its root, is x *
     rule.integral((v t/den)(t^2/den)) with den = t^2 + x^2 g v, the
     derivative in g, and the rounding bound 4 n eps (1 + |excess(g)|) of an
-    n-node sum of positive terms.  v and t are evaluated in blocks of
-    `quadrature.MAX_CALL_NODES` nodes.  The caller sets the floating-point
-    error state (see `upper_calogero_II_at`).
+    n-node sum of positive terms.  v and t are evaluated at the rule's
+    nodes by `FixedRule.values`.  The caller sets the floating-point error
+    state (see `upper_calogero_II_at`).
     """
-    cap = quadrature.MAX_CALL_NODES
-    blocks = (_calogero_II_factors(unit, ell, x, rule.nodes[i:i + cap])
-              for i in range(0, rule.nodes.size, cap))
-    v, t = map(np.concatenate, zip(*blocks))
+    v, t = rule.values(lambda r: _calogero_II_factors(unit, ell, x, r))
     rounding = 4 * rule.nodes.size * sys.float_info.epsilon
     sampled = {}
 
@@ -484,19 +480,17 @@ def _trial_weight(pot: Potential, q: float):
     """F(q; x) = x^q v(x)^((q+1)/2), the building block of the trial bound.
 
     Evaluated in log space: at large powers the bare factors overflow or
-    underflow long before their finite product does.
+    underflow long before their finite product does.  Where v = 0 the
+    exponent is -inf (ex > 0), so F is exactly 0 there.
     """
     ex = 0.5 * (q + 1.0)
 
     def f(x):
-        x = np.asarray(x, dtype=float)
         # v itself can overflow (e^-x / x at subnormal x); quadrature rejects
         # the non-finite value
         v = pot.evaluate(x)
-        out = np.zeros_like(v)
-        m = v > 0
-        out[m] = np.exp(q * np.log(x[m]) + ex * np.log(v[m]))
-        return out
+        with np.errstate(divide="ignore"):
+            return np.exp(q * np.log(x) + ex * np.log(v))
 
     return f
 

@@ -23,6 +23,7 @@ import csv
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 from .bounds import METHODS, Method, Side, sandwich
@@ -413,7 +414,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # a warning prints as one plain line, without its source location
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            return args.func(args)
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

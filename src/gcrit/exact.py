@@ -51,7 +51,7 @@ def _segment_radii(pot: Potential) -> list[float]:
     """Integration segments: [r0, interior breakpoints..., R_match].
 
     Called once per solve, by the step polynomial that every trial strength
-    of the solve shares (`_step_polynomial`)."""
+    of the solve shares (`_build_step_polynomial`)."""
     r0 = pot.start_radius
     r_sup = pot.support_radius(_TAIL_TOL)
     r_match = r_sup * (1.0 if pot.is_compact else 1.5)
@@ -167,19 +167,9 @@ def _build_step_polynomial(pot: Potential, log_step: float,
     return _StepPolynomial(coeffs=coeffs, kappa=kappa, s_end=s_pts[-1])
 
 
-#: the step polynomials of the shooting solve in progress, by (shape,
-#: log_step, l); None outside a solve, where every shot builds its own
-_solve_grids: ContextVar[dict | None] = ContextVar("_solve_grids", default=None)
-
-
-def _step_polynomial(pot: Potential, log_step: float, ell: int) -> _StepPolynomial:
-    polys = _solve_grids.get()
-    if polys is None:
-        return _build_step_polynomial(pot, log_step, ell)
-    key = (pot, log_step, ell)
-    if key not in polys:
-        polys[key] = _build_step_polynomial(pot, log_step, ell)
-    return polys[key]
+#: the step polynomial of the shooting solve in progress, which every shot
+#: of the solve shares; None outside a solve, where every shot builds its own
+_solve_poly: ContextVar[_StepPolynomial | None] = ContextVar("_solve_poly", default=None)
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray, out: np.ndarray,
@@ -248,7 +238,7 @@ def _integrate_log_radial(pot: Potential, ell: int, g: float, log_step: float,
     if not g > 0:
         raise DomainError("strength g must be positive")
     L = AngularMomentum(ell).L
-    poly = _step_polynomial(pot, log_step, ell)
+    poly = _solve_poly.get() or _build_step_polynomial(pot, log_step, ell)
     with np.errstate(over="ignore", invalid="ignore"):
         m = poly.matrices(g)
         finite = np.isfinite(m).all()
@@ -300,7 +290,7 @@ def critical_coupling_shooting(pot: Potential, ell: int,
     factor = 1.25
     # every shot of the solve shares one step polynomial, dropped when the
     # solve ends
-    token = _solve_grids.set({})
+    token = _solve_poly.set(_build_step_polynomial(pot, log_step, ell))
     try:
         for _ in range(_SCAN_REFINEMENTS + 1):
             a, b = bracket(lambda g: -coeff(g), g_start, 2.0, factor,
@@ -323,7 +313,7 @@ def critical_coupling_shooting(pot: Potential, ell: int,
         raise AccuracyError(
             f"no scan step isolated the first threshold above g = {min(known):g}")
     finally:
-        _solve_grids.reset(token)
+        _solve_poly.reset(token)
 
 
 @dataclass(frozen=True)
@@ -339,10 +329,9 @@ class KernelDiscretization:
 
     s = sqrt(w v): M is diagonal plus semiseparable of rank one, and
     `disc @ u` applies it in O(n) time and memory with two cumulative sums.
+    It holds only these three vectors, with the nodes and weights folded in.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     diagonal: np.ndarray
@@ -380,11 +369,10 @@ def kernel_discretization(pot: Potential, ell: int, n: int) -> KernelDiscretizat
     fourth-order Gregory corrections, and the diagonal carries the local
     correction for the derivative jump of the kernel across r = r'; both are
     needed for the eigenvalue to converge fast enough to cross-check the
-    shooting solver at moderate n.  Only the five length-n vectors of
-    `KernelDiscretization` are stored: nodes, weights, lower, upper and
-    diagonal.
+    shooting solver at moderate n.  Only the three length-n vectors of
+    `KernelDiscretization` are stored: lower, upper and diagonal.
     """
-    pot, ell, length = pot.unit, AngularMomentum(ell).ell, pot.scale
+    pot, ell = pot.unit, AngularMomentum(ell).ell
     if n < 8:
         raise DomainError("kernel discretization requires n >= 8")
     r_eff = pot.support_radius(1e-13)
@@ -410,8 +398,7 @@ def kernel_discretization(pot: Potential, ell: int, n: int) -> KernelDiscretizat
     # trapezoid picks up an O(h^2) term from the slope jump of the kernel
     # across the diagonal; subtracting it locally restores fast convergence
     diagonal = np.maximum(diagonal - (h * h / 12.0) * xp * xp * v, 0.0)
-    return KernelDiscretization(nodes=x * length, weights=w * length,
-                                lower=lower, upper=upper, diagonal=diagonal)
+    return KernelDiscretization(lower=lower, upper=upper, diagonal=diagonal)
 
 
 def largest_eigenvalue(matrix) -> float:

@@ -56,7 +56,9 @@ SHAPES = {
     Kind.STIS: Shape(lambda x, q: np.where(x <= q, (1.0 + x) ** -2.0, 0.0),
                      end=lambda q: q, param="alpha", label="stis(alpha={:g})",
                      default=1.0),
-    Kind.SHELL: Shape(lambda x, q: np.where((x >= 1.0) & (x <= 1.0 + q), 1.0 / q, 0.0),
+    # 1 + q rounds, so v is 1 over the width as represented: the area is 1
+    Kind.SHELL: Shape(lambda x, q: np.where((x >= 1.0) & (x <= 1.0 + q),
+                                            1.0 / ((1.0 + q) - 1.0), 0.0),
                       end=lambda q: 1.0 + q, breaks=lambda q: (1.0,),
                       param="shell_width", per_radius=True,
                       label="shell(width={:g})"),
@@ -184,9 +186,7 @@ class Potential:
         the last radius, and it sets only the shooting start radius.
         """
         pts = tuple((float(r), float(v)) for r, v in points)
-        if not pts:
-            raise ConfigurationError("tabulated potential requires a nonempty grid")
-        return cls(Kind.TABULATED, R=pts[-1][0], grid=pts)
+        return cls(Kind.TABULATED, R=pts[-1][0] if pts else 1.0, grid=pts)
 
     # -- geometry -----------------------------------------------------------
 

@@ -545,7 +545,8 @@ class FixedRule:
     `nodes` (in the original variable) and `weights` (panel half-widths
     times Kronrod weights, times the Jacobian of the map on a semi-infinite
     axis) then integrate any integrand close enough to w as
-    `integral(values at nodes)`, without refinement and without calling w.
+    `integral(values at nodes)`, without refinement and without calling w;
+    `values` evaluates a pointwise function at the nodes under the call cap.
     """
 
     def __init__(self, w, cfg=DEFAULT_CONFIG, upper=None, points=()):
@@ -561,6 +562,12 @@ class FixedRule:
         weights.flags.writeable = False
         self.nodes = x
         self.weights = weights
+
+    def values(self, f) -> np.ndarray:
+        """f at `nodes`, for a pointwise f, called on at most `MAX_CALL_NODES`
+        nodes at a time; the arrays that f returns run along the last axis."""
+        return np.concatenate([f(self.nodes[i:i + MAX_CALL_NODES])
+                               for i in range(0, self.nodes.size, MAX_CALL_NODES)], axis=-1)
 
     def integral(self, values) -> float:
         """Integral of the integrand whose values at `nodes` are `values`."""

@@ -1,6 +1,6 @@
 """Exact thresholds that judge the solvers from outside the package.
 
-Neither solver may call these; they use scipy, a test dependency.
+Neither solver may call these; they use scipy and mpmath, test dependencies.
 
 The shell v(r) = 1/w on [1, 1 + w] (`Potential.shell(w)` at unit radius):
 inside r < 1 the regular zero-energy solution is u = r^(l+1).  On the shell
@@ -25,6 +25,7 @@ so the threshold is the first g at which u' = 0 there.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import airy, spherical_jn, spherical_yn
@@ -66,6 +67,20 @@ def shell_threshold(ell: int, width: float) -> float:
             return brentq(lambda g: shell_mismatch(ell, width, g), a, b,
                           xtol=1e-300, rtol=4 * 2.0 ** -52)
         a = b
+
+
+def shell_swave_threshold(width: float) -> float:
+    """Critical strength of `Potential.shell(width)` at l = 0, to any width.
+
+    On the shell u = cos(k t) + sin(k t)/k of t = r - 1 continues u = r, and
+    u' = 0 at t = w gives theta tan theta = w for theta = k w, so the
+    threshold is theta^2/w with theta the root in (0, pi/2), found at 40
+    digits in mpmath.  Unlike `shell_threshold`, it holds its accuracy as
+    w -> 0, where it tends to 1 - w/3."""
+    with mpmath.workdps(40):
+        w = mpmath.mpf(width)
+        theta = mpmath.findroot(lambda t: t * mpmath.tan(t) - w, mpmath.sqrt(w))
+        return float(theta ** 2 / w)
 
 
 def _grid_segments(grid):

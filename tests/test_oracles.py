@@ -8,7 +8,8 @@ import pytest
 
 from gcrit.exact import critical_coupling_nystrom, critical_coupling_shooting
 from gcrit.potentials import Potential
-from oracles import grid_mismatch, grid_threshold, shell_mismatch, shell_threshold
+from oracles import (grid_mismatch, grid_threshold, shell_mismatch, shell_swave_threshold,
+                     shell_threshold)
 
 WIDTHS = (0.1, 1e-3)
 
@@ -85,6 +86,15 @@ def test_shooting_matches_shell_threshold(ell, width):
     want = shell_threshold(ell, width)
     got = critical_coupling_shooting(Potential.shell(width), ell)
     assert abs(got - want) <= 3.0 * SHOOTING_ERROR[width][ell] * want
+
+
+@pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-12])
+def test_shooting_matches_the_thin_shell_closed_form(width):
+    # 1 + width rounds, so only a height of 1 over the width as represented
+    # gives an area of 1: a height of 1/width puts shooting 8.2e-11, 8.3e-8
+    # and 8.9e-5 low here, against 0, 4.4e-16 and 1.4e-15 measured
+    want = shell_swave_threshold(width)
+    assert abs(critical_coupling_shooting(Potential.shell(width), 0) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("width", WIDTHS)

@@ -339,7 +339,8 @@ def reference_analytic_geometry(pot):
         Kind.EXPONENTIAL: (lambda x: np.exp(-x), None, (), 1e-6),
         Kind.YUKAWA: (lambda x: np.exp(-x) / x, None, (), 1e-8),
         Kind.STIS: (lambda x: np.where(x <= q, (1.0 + x) ** -2.0, 0.0), q, (), 1e-6),
-        Kind.SHELL: (lambda x: np.where((x >= 1.0) & (x <= 1.0 + q), 1.0 / q, 0.0),
+        Kind.SHELL: (lambda x: np.where((x >= 1.0) & (x <= 1.0 + q),
+                                        1.0 / ((1.0 + q) - 1.0), 0.0),
                      None if q is None else 1.0 + q, (1.0,), 1e-6),
     }[pot.kind]
     param = {Kind.STIS: "alpha", Kind.SHELL: "shell_width"}.get(pot.kind)

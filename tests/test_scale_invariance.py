@@ -78,7 +78,8 @@ def reference_shape(pot, r):
         return np.where(r <= pot.alpha * R, (R + r) ** -2.0, 0.0)
     w = pot.shell_width
     inside = (r >= R) & (r <= R + w)
-    return np.where(inside, 1.0 / (w * R), 0.0)
+    # 1 / (width R), with the width as represented in units of R
+    return np.where(inside, 1.0 / (((1.0 + w / R) - 1.0) * R * R), 0.0)
 
 
 FROZEN_SHAPES = {

@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcrit import bounds, errors
@@ -23,6 +23,7 @@ from gcrit.errors import ConfigurationError
 from gcrit.potentials import Potential
 from gcrit.quadrature import DEFAULT_CONFIG
 from gcrit.tables import compute_table_row, printed_values, reproduce_table
+from oracles import shell_swave_threshold
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -970,3 +971,79 @@ def test_cli_compute_on_a_grid_ends_in_an_exit_code_and_prints_only_finite_numbe
         assert code in (0, 3), (grid, argv, code)
     assert not _NON_FINITE.search(out.getvalue()), (grid, argv, out.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_cli_prints_a_warning_as_one_plain_line(capsys):
+    # the ggmt optimum sits at its capped power; Python's default would
+    # print the warning's file, line and source line
+    assert main(["compute", "--potential", "exponential", "--ell", "200",
+                 "--methods", "ggmt"]) == 0
+    assert capsys.readouterr().err == "warning: minimum sits at the upper parameter cap\n"
+
+
+# -- `check` on grids and `compute` on shells, by property ---------------------
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of `main(argv)`; anything raised fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _check_grids(draw):
+    """2-60 knots at distinct radii in [0.05, 10], values in [0, 5] with a
+    run of zeros, the last value 0 and one value before it positive, all on
+    a lattice of 0.01."""
+    radii = sorted(draw(st.lists(st.integers(5, 1000), min_size=2, max_size=60,
+                                 unique=True)))
+    n = len(radii)
+    values = draw(st.lists(st.integers(0, 500), min_size=n, max_size=n))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    values[lo:hi] = [0] * (hi - lo)
+    values[draw(st.integers(0, n - 2))] = draw(st.integers(1, 500))
+    values[-1] = 0
+    return [(r / 100, v / 100) for r, v in zip(radii, values)]
+
+
+@settings(max_examples=10)
+@given(grid=_check_grids(), ell=st.integers(0, 2))
+def test_cli_check_on_a_grid_reports_every_verdict(tmp_path_factory, grid, ell):
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_text("".join(f"{r!r},{v!r}\n" for r, v in grid))
+    code, out, err = _run_main(["check", "--potential", "tabulated",
+                                "--grid-csv", str(path), "--ell", str(ell)])
+    assert code in (0, 1, 2, 3), (grid, ell, code)
+    assert "Traceback" not in err
+    assert not _NON_FINITE.search(out), (grid, ell, out)
+    lines = out.splitlines()
+    assert all(line.startswith(("ok", "FAIL")) for line in lines), (grid, ell, out)
+    failed = any(line.startswith("FAIL") for line in lines)
+    # a run that finished exits 0 exactly when no verdict failed
+    assert code not in (0, 1) or (code == 1) == failed, (grid, ell, code, out)
+
+
+#: shooting's relative error against `shell_swave_threshold` at l = 0 and
+#: the default log step peaks at 2.45e-9 near width 0.03 (300 widths in
+#: [0.01, 0.5]) and is 2.1e-12 at width 1e-3; this allows 3x
+_SHELL_SWAVE_ERROR = 3 * 2.45e-9
+
+
+@settings(max_examples=10)
+@given(log_width=st.floats(-12.0, math.log10(0.5)), ell=st.integers(0, 5))
+def test_cli_compute_on_a_shell_ends_in_an_exit_code_and_a_finite_threshold(
+        log_width, ell):
+    width = 10.0 ** log_width
+    code, out, err = _run_main(["compute", "--potential", "shell", "--shell-width",
+                                repr(width), "--ell", str(ell), "--digits", "17",
+                                "--methods", "shooting", "bargmann_schwinger",
+                                "calogero_i"])
+    assert code in (0, 1, 2, 3), (width, ell, code)
+    assert "Traceback" not in err
+    assert not _NON_FINITE.search(out), (width, ell, out)
+    if ell == 0 and code == 0:
+        row = next(csv.DictReader(io.StringIO(out)))
+        want = shell_swave_threshold(width)
+        assert abs(float(row["g_c_shoot"]) - want) <= _SHELL_SWAVE_ERROR * want, (width, out)
